@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -68,7 +69,7 @@ def monomial_key(m: Sequence[int]):
 
 def divides(a: Sequence[int], m: Sequence[int]) -> bool:
     """True when x^a divides x^m, i.e. a <= m componentwise."""
-    return all(x <= y for x, y in zip(a, m))
+    return all(map(le, a, m))
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,36 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
 
     Keeps the componentwise-minimal vectors (an antichain) and is idempotent.
     The empty input yields the zero ideal; a zero vector yields the unit ideal.
+
+    Divisibility is one integer subtraction per pair.  Each vector is packed
+    into fields of w = max_exponent.bit_length() + 1 bits, so every entry
+    fits below its field's top bit, and G has exactly those top (guard) bits
+    set.  In (pack(g) | G) - pack(h) every field holds 2^(w-1) + g_i - h_i,
+    which lies in [1, 2^w - 1]: no borrow crosses a field, and the guard bit
+    survives iff h_i <= g_i.  So h divides g iff the result has all of G set.
     """
     seen = {check_vector(ring, g) for g in gens}
+    if not seen:
+        return MonomialIdeal(ring, ())
+    w = max(map(max, seen)).bit_length() + 1
+    guard = 0
+    for _ in range(ring.dimension):
+        guard = (guard << w) | (1 << (w - 1))
     mins: list[tuple[int, ...]] = []
+    packed: list[int] = []
     for g in sorted(seen, key=monomial_key):
+        x = 0
+        for e in g:
+            x = (x << w) | e
         # accepted vectors have strictly smaller degree or are incomparable,
         # so a single divisibility scan against them suffices
-        if not any(divides(h, g) for h in mins):
+        x |= guard
+        for p in packed:
+            if (x - p) & guard == guard:
+                break
+        else:
             mins.append(g)
+            packed.append(x ^ guard)
     return MonomialIdeal(ring, tuple(mins))
 
 

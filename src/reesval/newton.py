@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -56,7 +57,7 @@ class FacetInequality:
         return tuple(i for i, a in enumerate(self.normal) if a)
 
     def evaluate(self, m: Sequence[int]) -> int:
-        return sum(a * e for a, e in zip(self.normal, m))
+        return sum(map(mul, self.normal, m))
 
     def sort_key(self):
         return (len(self.support()), self.normal, self.offset)
@@ -77,7 +78,7 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
@@ -87,9 +88,22 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     generator points at height 1.  The first d+1 constraints form a
     triangular system, so the initial simplicial cone's rays are written
     down directly; every further constraint keeps the non-negative rays and
-    inserts one combination per adjacent (positive, negative) pair, with
-    the standard combinatorial adjacency test on tight sets.  All vectors
-    stay integer and primitive.
+    inserts one combination per adjacent (positive, negative) pair.  All
+    vectors stay integer and primitive.
+
+    Every intermediate cone is pointed (the first d+1 constraints are
+    nonsingular), so two extreme rays are adjacent exactly when no third
+    ray is tight on every constraint both are tight on (the combinatorial
+    test of Fukuda and Prodon, "Double description method revisited",
+    1996).  Adjacent rays span a 2-face of the cone in R^dim, dim = d+1,
+    whose tight constraints have rank dim - 2; a pair sharing fewer than
+    dim - 2 tight constraints is therefore skipped before the scan over
+    all rays.
+
+    Tight sets are bitmasks over constraint indexes.  A new ray inherits
+    `common | bit(k)` from its parents without further dot products: it is
+    a positive combination of two rays on which every earlier constraint is
+    >= 0, so an earlier constraint vanishes on it iff it vanishes on both.
     """
     dim = d + 1
     constraints: list[tuple[int, ...]] = [
@@ -102,50 +116,50 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
         tuple(1 if j == i else 0 for j in range(d)) + (-p0[i],) for i in range(d)
     ]
     rays.append((0,) * d + (1,))
-
-    def tight_mask(ray: tuple[int, ...], upto: int) -> int:
-        mask = 0
-        for k in range(upto):
-            if _dot(constraints[k], ray) == 0:
-                mask |= 1 << k
-        return mask
-
-    tight = [tight_mask(r, dim) for r in rays]
+    tight = [
+        sum(1 << k for k in range(dim) if _dot(constraints[k], r) == 0) for r in rays
+    ]
 
     for k in range(dim, len(constraints)):
         h = constraints[k]
+        bit = 1 << k
         vals = [_dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
-            for idx, v in enumerate(vals):
-                if v == 0:
-                    tight[idx] |= 1 << k
+            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
+        new_tight: list[int] = []
         seen: set[tuple[int, ...]] = set()
         for ip in pos:
+            tp = tight[ip]
             for im in neg:
-                common = tight[ip] & tight[im]
-                if any(
-                    io not in (ip, im) and tight[io] & common == common
-                    for io in range(len(rays))
-                ):
-                    continue  # not adjacent: a third ray is tight wherever both are
+                common = tp & tight[im]
+                if common.bit_count() < dim - 2:
+                    continue  # no shared 2-face
+                # the pair itself is counted; a third ray tight wherever
+                # both are means they are not adjacent
+                covering = 0
+                for t in tight:
+                    if t & common == common:
+                        covering += 1
+                        if covering > 2:
+                            break
+                if covering > 2:
+                    continue
                 combo = _primitive(
                     tuple(
-                        vals[ip] * rays[im][j] - vals[im] * rays[ip][j]
-                        for j in range(dim)
+                        vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])
                     )
                 )
                 if combo not in seen:
                     seen.add(combo)
                     new_rays.append(combo)
+                    new_tight.append(common | bit)
         kept = [i for i, v in enumerate(vals) if v >= 0]
         rays = [rays[i] for i in kept] + new_rays
-        tight = [
-            tight[i] | ((1 << k) if vals[i] == 0 else 0) for i in kept
-        ] + [tight_mask(r, k + 1) for r in new_rays]
+        tight = [tight[i] | bit if vals[i] == 0 else tight[i] for i in kept] + new_tight
     return rays
 
 
@@ -160,10 +174,6 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
         a, c = ray[:d], ray[d]
         if not any(a):
             continue
-        # the recession cone is the orthant, so a negative entry or a
-        # negative offset can only come from a bug upstream
-        assert all(x >= 0 for x in a), f"facet normal {a} escaped the recession cone"
-        assert c <= 0, f"facet offset {-c} is negative"
         facets.append(FacetInequality(a, -c))
     facets.sort(key=FacetInequality.sort_key)
     return NewtonPolyhedron(I.ring, tuple(facets), I.min_gens)
@@ -254,14 +264,22 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     """Asymptotic order of x^m along I: min over positive-offset facets of
     (a.m)/b.  The zero vector gives 0; a proper nonzero ideal always has a
     positive-offset facet (the origin lies outside the polyhedron), so the
-    minimum is never over an empty set."""
+    minimum is never over an empty set.
+
+    The minimum is taken by integer cross-multiplication (offsets are
+    positive), and only the winner becomes a Fraction."""
     np_ = compute_np(I)
     m = check_vector(I.ring, m)
-    values = [
-        Fraction(f.evaluate(m), f.offset) for f in np_.facets if f.offset > 0
-    ]
-    assert values, "proper nonzero ideal must have a positive-offset facet"
-    return min(values)
+    num, den = 0, 0
+    for f in np_.facets:
+        b = f.offset
+        if b > 0:
+            v = f.evaluate(m)
+            if not den or v * den < num * b:
+                num, den = v, b
+    if not den:
+        raise RuntimeError("proper nonzero ideal has no positive-offset facet")
+    return Fraction(num, den)
 
 
 def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:

@@ -2,9 +2,9 @@
 
 Nothing here calls the code paths it is meant to check: facet enumeration
 is done by solving d-subsets of generators with rational elimination,
-power membership by literal enumeration of generator multisets, and
-closure generators by a box scan whose membership test is the raw-power
-route only.
+power membership by literal enumeration of generator multisets, closure
+generators by a box scan whose membership test is the raw-power route
+only, and minimal generators by comparing every pair entry by entry.
 """
 
 from __future__ import annotations
@@ -110,6 +110,17 @@ def facets_bruteforce(points: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...
             if all(sum(ai * pi for ai, pi in zip(a, p)) >= b for p in points):
                 facets.add((a, b))
     return facets
+
+
+def minimal_generators_ref(gens) -> set[tuple[int, ...]]:
+    """Vectors of `gens` that no other vector of `gens` lies below
+    componentwise, compared entry by entry for every ordered pair."""
+    vecs = {tuple(g) for g in gens}
+    return {
+        g
+        for g in vecs
+        if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in vecs)
+    }
 
 
 def monomial_in_power_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> bool:

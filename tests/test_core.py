@@ -25,7 +25,8 @@ from reesval import (
     unit_ideal,
     zero_ideal,
 )
-from oracles import monomial_in_power_ref, upset_in_box
+from reesval.core import monomial_key
+from oracles import minimal_generators_ref, monomial_in_power_ref, upset_in_box
 
 R1 = RingContext(("x",))
 R2 = RingContext(("x", "y"))
@@ -82,6 +83,37 @@ def test_normalize_idempotent_antichain_and_upset_preserving(gens):
             assert a == b or not divides(a, b)
     box = (5, 5)
     assert upset_in_box(gens, box) == upset_in_box(J.min_gens, box)
+
+
+# exponents at the edges of normalize's packed fields: the field width is
+# max_exponent.bit_length() + 1, so 2^k - 1 fills a field below its guard
+# bit and 2^k widens it; values above 12 are what closures of powers reach
+FIELD_EDGES = [0, 1, 2, 3, 4, 7, 8, 12, 13, 15, 16, 31, 32, 48, 63, 64, 72, 127, 128]
+edge_exponents = st.one_of(st.sampled_from(FIELD_EDGES), st.integers(0, 80))
+edge_gen_sets = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[edge_exponents] * d), min_size=0, max_size=12),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_gen_sets)
+def test_normalize_matches_pairwise_reference(case):
+    d, gens = case
+    # near misses: one entry of a generator one below or above, which
+    # crosses a field boundary whenever that entry sits at an edge
+    gens = gens + [
+        g[:i] + (g[i] + step,) + g[i + 1:]
+        for g in gens[:3]
+        for i in range(d)
+        for step in (-1, 1)
+        if g[i] + step >= 0
+    ]
+    ring = RingContext(("x", "y", "z", "w", "u", "v")[:d])
+    expected = tuple(sorted(minimal_generators_ref(gens), key=monomial_key))
+    assert normalize(gens, ring).min_gens == expected
 
 
 def test_canonical_order_degree_then_lex_descending():

@@ -8,9 +8,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reesval.newton
 from reesval import (
+    FacetInequality,
     InvalidInput,
+    NewtonPolyhedron,
     RingContext,
     compute_np,
     contains_monomial,
@@ -176,6 +181,35 @@ def test_vbar_goldens():
     assert vbar(I, (1, 1)) == Fraction(5, 6)
     assert vbar(I, (2, 0)) == 1
     assert vbar(ideal2((1, 0)), (0, 0)) == 0
+
+
+vbar_cases = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(
+            st.tuples(*[st.integers(0, 6)] * d).filter(any), min_size=1, max_size=6
+        ),
+        st.lists(st.tuples(*[st.integers(0, 24)] * d), min_size=1, max_size=8),
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vbar_cases)
+def test_vbar_is_min_of_facet_ratios(case):
+    gens, ms = case
+    I = normalize(gens, RingContext(("x", "y", "z", "w")[: len(gens[0])]))
+    facets = compute_np(I).facets
+    for m in ms:
+        expected = min(Fraction(f.evaluate(m), f.offset) for f in facets if f.offset > 0)
+        assert vbar(I, m) == expected, (gens, m)
+
+
+def test_vbar_without_positive_offset_facet_raises(monkeypatch):
+    I = ideal2((1, 0))
+    only_orthant = NewtonPolyhedron(I.ring, (FacetInequality((0, 1), 0),), I.min_gens)
+    monkeypatch.setattr(reesval.newton, "compute_np", lambda _: only_orthant)
+    with pytest.raises(RuntimeError):
+        vbar(I, (1, 1))
 
 
 def test_vbar_homogeneity():

@@ -5,6 +5,7 @@ found the shipped deep-chain corpus entry used the same checks.
 """
 
 import random
+from itertools import combinations_with_replacement
 
 from reesval import (
     RingContext,
@@ -20,7 +21,7 @@ from reesval import (
 )
 from oracles import closure_by_power_oracle, facets_bruteforce
 
-NAMES = ("x", "y", "z", "w")
+NAMES = ("x", "y", "z", "w", "u", "v")
 
 
 def random_ideals(count, seed):
@@ -45,6 +46,66 @@ def test_facets_match_hull_oracle_randomized():
     for ideal in random_ideals(50, seed=101):
         got = {(f.normal, f.offset) for f in compute_np(ideal).facets}
         assert got == facets_bruteforce(list(ideal.min_gens)), ideal.min_gens
+
+
+def monomials_of_degree(d, k):
+    return [
+        tuple(pick.count(i) for i in range(d))
+        for pick in combinations_with_replacement(range(d), k)
+    ]
+
+
+def padded(gens, d):
+    return [tuple(g) + (0,) * (d - len(g)) for g in gens]
+
+
+def test_facets_match_hull_oracle_wide_and_degenerate():
+    # the hull oracle costs about C(gens + d, d) eliminations, so these stay
+    # small; together they run in a few seconds
+    rng = random.Random(505)
+    ideals = []
+    for d, count, sizes in ((5, 4, (4, 6)), (6, 2, (4, 5))):
+        while count:
+            gens = [
+                tuple(rng.randint(0, 6) for _ in range(d))
+                for _ in range(rng.randint(*sizes))
+            ]
+            ideal = normalize(gens, RingContext(NAMES[:d]))
+            if ideal.is_proper_nonzero():
+                ideals.append(ideal)
+                count -= 1
+    # many generators on one face: adjacent rays share more than the
+    # minimum number of tight constraints
+    ideals.append(normalize(monomials_of_degree(4, 2), RingContext(NAMES[:4])))
+    ideals.append(normalize(
+        padded(monomials_of_degree(3, 2), 5) + [(0, 0, 0, 3, 0), (0, 0, 0, 0, 2), (1, 0, 0, 1, 1)],
+        RingContext(NAMES[:5]),
+    ))
+    ideals.append(normalize(
+        padded(monomials_of_degree(2, 3), 6)
+        + [(0, 0, 2, 0, 0, 0), (0, 0, 0, 3, 0, 0), (1, 0, 0, 0, 1, 1)],
+        RingContext(NAMES),
+    ))
+    # pairs that share enough tight constraints and still are not adjacent
+    # (the first three generators of the first ideal are collinear)
+    for gens in (
+        [(3, 0, 3, 1), (2, 1, 2, 2), (1, 2, 1, 3), (1, 3, 3, 1)],
+        [(0, 2, 0, 1), (0, 1, 1, 1), (0, 0, 2, 1), (2, 0, 0, 2), (1, 2, 1, 0)],
+    ):
+        ideals.append(normalize(gens, RingContext(NAMES[:4])))
+    for ideal in ideals:
+        got = {(f.normal, f.offset) for f in compute_np(ideal).facets}
+        assert got == facets_bruteforce(list(ideal.min_gens)), ideal.min_gens
+
+
+def test_facets_of_full_degree_slices():
+    # all monomials of degree k: NP is {x >= 0, sum(x) >= k}, with every
+    # generator on the one positive-offset facet
+    for d, k in ((4, 3), (5, 2), (5, 3), (6, 2), (6, 3)):
+        ideal = normalize(monomials_of_degree(d, k), RingContext(NAMES[:d]))
+        got = {(f.normal, f.offset) for f in compute_np(ideal).facets}
+        units = {(tuple(int(j == i) for j in range(d)), 0) for i in range(d)}
+        assert got == units | {((1,) * d, k)}, (d, k)
 
 
 def test_closure_matches_power_oracle_randomized():
