@@ -51,15 +51,13 @@ from .primes import (
     irreducible_decomposition,
     minimal_primes,
 )
-from .valuations import BStarSet, MonomialValuation, b_star, center, rees_valuations, value
+from .valuations import BStarSet, b_star, center, rees_valuations, value
 from .verify import (
     AsymptoticReport,
     LocalizationReport,
     a_star,
     closure_oracle_discrepancies,
-    verify_centers_match,
     verify_localization,
-    verify_min_primes_contained,
 )
 
 __version__ = "0.1.0"
@@ -67,9 +65,8 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every memoized result (used by timing-sensitive harness runs)."""
-    from . import newton, primes
+    from . import newton
 
     ideal_power.cache_clear()
     newton.compute_np.cache_clear()
     newton.integral_closure_power.cache_clear()
-    primes._DECOMP_CACHE.clear()

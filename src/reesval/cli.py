@@ -27,13 +27,12 @@ from .newton import compute_np, integral_closure_power
 from .parser import parse_ideal, parse_monomial, parse_ring, render_ideal
 from .primes import MonomialPrime, minimal_primes
 from .sampling import sample_box
-from .valuations import b_star, rees_valuations
+from .valuations import b_star, center, rees_valuations
 from .verify import (
     DEFAULT_CHAIN_CAP,
     DEFAULT_LOCALIZATION_CAP,
     a_star,
     closure_oracle_discrepancies,
-    verify_centers_match,
     verify_localization,
 )
 
@@ -114,16 +113,14 @@ def _cmd_rees(args) -> int:
         print(_dump({
             "centers": _primes_json(centers, I.ring),
             "ring": list(I.ring.variable_names),
-            "valuations": [[list(v.normal), v.ideal_value] for v in valuations],
+            "valuations": [[list(v.normal), v.offset] for v in valuations],
         }))
     else:
-        from .valuations import center as center_of
-
         for v in valuations:
-            names = ",".join(center_of(v).names(I.ring))
+            names = ",".join(center(v).names(I.ring))
             print(
                 f"normal=({','.join(str(a) for a in v.normal)}) "
-                f"value={v.ideal_value} center=({names})"
+                f"value={v.offset} center=({names})"
             )
         print(f"b_star: {_primes_text(centers, I.ring)}")
     return 0
@@ -146,24 +143,38 @@ def _cmd_vbar(args) -> int:
     return 0
 
 
-def _astar_json(report, ring: RingContext) -> dict:
+def _chain_verdicts(report) -> dict:
+    """The chain verdicts of `verify cor26` and `corpus`.
+
+    cor26 is true on every report: a_star returns only once the chain
+    reaches B*(I), and raises NotStabilized (exit 3) otherwise.  monotone
+    says the chain never lost a prime; lemma21i, that Min(I) lies in the
+    stable set.
+    """
+    return {
+        "cor26": True,
+        "lemma21i": minimal_primes(report.ideal) <= report.stable_set,
+        "monotone": report.verdict_monotone,
+    }
+
+
+def _astar_json(report, ring: RingContext, verdicts: dict) -> dict:
     return {
         "b_star": _primes_json(report.b_star.centers, ring),
         "chain": [[n, _primes_json(ass, ring)] for n, ass in report.chain],
         "stabilization_index": report.stabilization_index,
         "stable_set": _primes_json(report.stable_set, ring),
-        "verdicts": {
-            "cor26": report.verdict_cor26,
-            "monotone": report.verdict_monotone,
-        },
+        "verdicts": verdicts,
     }
 
 
 def _cmd_astar(args) -> int:
     I = _require_ideal(args)
-    report = a_star(I, args.cap if args.cap else DEFAULT_CHAIN_CAP)
+    report = a_star(I, args.cap if args.cap is not None else DEFAULT_CHAIN_CAP)
     if args.json:
-        print(_dump(_astar_json(report, I.ring)))
+        verdicts = _chain_verdicts(report)
+        del verdicts["lemma21i"]  # astar reports the chain alone
+        print(_dump(_astar_json(report, I.ring, verdicts)))
     else:
         for n, ass in report.chain:
             print(f"n={n}: {_primes_text(ass, I.ring)}")
@@ -192,24 +203,22 @@ def _localization_json(report, ring: RingContext) -> dict:
 
 def _cmd_verify(args) -> int:
     I = _require_ideal(args)
-    chain_cap = args.cap if args.cap else DEFAULT_CHAIN_CAP
-    loc_cap = args.cap if args.cap else DEFAULT_LOCALIZATION_CAP
+    chain_cap = args.cap if args.cap is not None else DEFAULT_CHAIN_CAP
+    loc_cap = args.cap if args.cap is not None else DEFAULT_LOCALIZATION_CAP
     failed = False
     payload: dict = {}
 
     if args.check in ("cor26", "all"):
-        ok, report = verify_centers_match(I, chain_cap)
-        min_primes_ok = minimal_primes(I) <= report.stable_set
-        cor_json = _astar_json(report, I.ring)
-        cor_json["verdicts"]["lemma21i"] = min_primes_ok
-        payload["cor26"] = cor_json
-        failed = failed or not (ok and report.verdict_monotone and min_primes_ok)
+        report = a_star(I, chain_cap)
+        verdicts = _chain_verdicts(report)
+        payload["cor26"] = _astar_json(report, I.ring, verdicts)
+        failed = failed or not all(verdicts.values())
         if not args.json:
-            print(f"cor26: {'PASS' if ok else 'FAIL'} "
+            print(f"cor26: {'PASS' if verdicts['cor26'] else 'FAIL'} "
                   f"(stable set {_primes_text(report.stable_set, I.ring)}; "
                   f"index {report.stabilization_index})")
-            print(f"monotone: {'PASS' if report.verdict_monotone else 'FAIL'}")
-            print(f"lemma21i: {'PASS' if min_primes_ok else 'FAIL'}")
+            print(f"monotone: {'PASS' if verdicts['monotone'] else 'FAIL'}")
+            print(f"lemma21i: {'PASS' if verdicts['lemma21i'] else 'FAIL'}")
 
     if args.check in ("thm31", "all"):
         if args.s_vars is None:
@@ -242,6 +251,10 @@ def _load_corpus_entry(line_no: int, line: str) -> dict:
         entry = json.loads(line)
     except json.JSONDecodeError as exc:
         fail(f"invalid JSON ({exc.msg})")
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or nesting past
+        # its recursion limit
+        fail(f"invalid JSON ({exc})")
     if not isinstance(entry, dict):
         fail("entry must be a JSON object")
     unknown = set(entry) - {"id", "ring", "gens", "s_vars"}
@@ -271,6 +284,7 @@ def _load_corpus_entry(line_no: int, line: str) -> dict:
         if (
             not isinstance(s_vars, list)
             or not s_vars
+            or not all(isinstance(v, str) for v in s_vars)
             or len(set(s_vars)) != len(s_vars)
             or any(v not in ring for v in s_vars)
         ):
@@ -289,20 +303,14 @@ def corpus_entry_report(entry: dict, seed: int, n_cap: int, timings: bool) -> di
     I = normalize([tuple(g) for g in entry["gens"]], ring)
     report: dict = {"id": entry["id"]}
     try:
-        ok, chain_report = verify_centers_match(I, n_cap)
+        chain_report = a_star(I, n_cap)
     except NotStabilized as exc:
         report["error"] = "not_stabilized"
         report["n_cap"] = exc.n_cap
         return report
-    min_primes_ok = minimal_primes(I) <= chain_report.stable_set
+    verdicts = _chain_verdicts(chain_report)
     samples = sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"{seed}:{entry['id']}")
-    discrepancies = closure_oracle_discrepancies(I, samples, ORACLE_DILATIONS)
-    verdicts = {
-        "cor26": ok,
-        "lemma21i": min_primes_ok,
-        "monotone": chain_report.verdict_monotone,
-        "oracle": not discrepancies,
-    }
+    verdicts["oracle"] = not closure_oracle_discrepancies(I, samples, ORACLE_DILATIONS)
     report.update(
         b_star=_primes_json(chain_report.b_star.centers, ring),
         stable_set=_primes_json(chain_report.stable_set, ring),
@@ -335,7 +343,7 @@ def run_corpus(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return 2
     entries = []
@@ -388,7 +396,7 @@ def _cmd_corpus(args) -> int:
     return run_corpus(
         args.path,
         seed=args.seed,
-        n_cap=args.cap if args.cap else DEFAULT_CHAIN_CAP,
+        n_cap=args.cap if args.cap is not None else DEFAULT_CHAIN_CAP,
         jobs=args.jobs,
         timings=args.timings,
     )

@@ -53,6 +53,12 @@ class FacetInequality:
         if self.offset < 0:
             raise InvalidInput("facet offset must be non-negative")
 
+    @property
+    def ideal_value(self) -> int:
+        """The offset, read as the value of the facet's Rees valuation on
+        the ideal (for a positive-offset facet)."""
+        return self.offset
+
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.normal) if a)
 

@@ -115,36 +115,35 @@ def _base_component(J: MonomialIdeal) -> IrreducibleComponent:
     return IrreducibleComponent(tuple(sorted(bounds)))
 
 
-_DECOMP_CACHE: dict[MonomialIdeal, frozenset[IrreducibleComponent]] = {}
-
-
 def _components(J: MonomialIdeal) -> frozenset[IrreducibleComponent]:
-    """All leaves of the splitting recursion (possibly redundant), memoized.
+    """All leaves of the splitting recursion (possibly redundant).
 
     Iterative so deep splits of large closure ideals cannot hit the
-    interpreter recursion limit.
+    interpreter recursion limit.  Branches of one tree often meet at the
+    same ideal, so subresults are memoized for the duration of the call.
     """
+    memo: dict[MonomialIdeal, frozenset[IrreducibleComponent]] = {}
     stack = [J]
     while stack:
         cur = stack[-1]
-        if cur in _DECOMP_CACHE:
+        if cur in memo:
             stack.pop()
             continue
         cand = _split_candidate(cur)
         if cand is None:
-            _DECOMP_CACHE[cur] = frozenset({_base_component(cur)})
+            memo[cur] = frozenset({_base_component(cur)})
             stack.pop()
             continue
         m1, m2 = cand
         left = ideal_sum(cur, normalize([m1], cur.ring))
         right = ideal_sum(cur, normalize([m2], cur.ring))
-        missing = [side for side in (left, right) if side not in _DECOMP_CACHE]
+        missing = [side for side in (left, right) if side not in memo]
         if missing:
             stack.extend(missing)
         else:
-            _DECOMP_CACHE[cur] = _DECOMP_CACHE[left] | _DECOMP_CACHE[right]
+            memo[cur] = memo[left] | memo[right]
             stack.pop()
-    return _DECOMP_CACHE[J]
+    return memo[J]
 
 
 def _filter_irredundant(

@@ -1,47 +1,22 @@
 """Rees valuations of a monomial ideal and their centers.
 
-Each positive-offset facet (a, b) of the Newton polyhedron is one valuation:
-it sends x^m to a.m, takes the value b on the ideal itself, and its center
-is the prime generated by the variables in the support of a (exactly the
-monomials of strictly positive value).  The set of centers is B*(I).
+Each positive-offset facet (a, b) of the Newton polyhedron is one valuation
+and is represented by its `FacetInequality`: it sends x^m to a.m, takes the
+value b (`offset`, also readable as `ideal_value`) on the ideal itself, and
+its center is the prime generated by the variables in the support of a
+(exactly the monomials of strictly positive value).  The set of centers is
+B*(I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable
 
 from .core import MonomialIdeal
 from .errors import InvalidInput
-from .newton import compute_np
+from .newton import FacetInequality, compute_np
 from .primes import MonomialPrime
-
-
-@dataclass(frozen=True)
-class MonomialValuation:
-    """Valuation x^m -> normal.m with value `ideal_value` on the ideal."""
-
-    normal: tuple[int, ...]
-    ideal_value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(self.normal))
-        if not self.normal or not any(self.normal) or any(a < 0 for a in self.normal):
-            raise InvalidInput("valuation normal must be nonzero and non-negative")
-        g = 0
-        for a in self.normal:
-            g = gcd(g, a)
-        if g != 1:
-            raise InvalidInput("valuation normal must be primitive")
-        if self.ideal_value < 1:
-            raise InvalidInput("a valuation takes a positive value on the ideal")
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.normal) if a)
-
-    def sort_key(self):
-        return (len(self.support()), self.normal)
 
 
 @dataclass(frozen=True)
@@ -50,31 +25,25 @@ class BStarSet:
 
     centers: frozenset[MonomialPrime]
 
-    def sorted_centers(self) -> tuple[MonomialPrime, ...]:
-        return tuple(sorted(self.centers, key=MonomialPrime.sort_key))
 
-
-def rees_valuations(I: MonomialIdeal) -> tuple[MonomialValuation, ...]:
-    """One valuation per positive-offset facet of NP(I), stably ordered."""
+def rees_valuations(I: MonomialIdeal) -> tuple[FacetInequality, ...]:
+    """The positive-offset facets of NP(I), in facet order (support size,
+    then normal)."""
     np_ = compute_np(I)  # rejects unit/zero ideals
-    vals = [
-        MonomialValuation(f.normal, f.offset) for f in np_.facets if f.offset > 0
-    ]
-    vals.sort(key=MonomialValuation.sort_key)
-    return tuple(vals)
+    return tuple(f for f in np_.facets if f.offset > 0)
 
 
-def value(v: MonomialValuation, m: Iterable[int]) -> int:
+def value(v: FacetInequality, m: Iterable[int]) -> int:
     """The valuation applied to x^m (a dot product)."""
     m = tuple(m)
     if len(m) != len(v.normal):
         raise InvalidInput(f"vector {m} has length {len(m)}, expected {len(v.normal)}")
     if any(not isinstance(e, int) or e < 0 for e in m):
         raise InvalidInput("exponent vector needs non-negative integer entries")
-    return sum(a * e for a, e in zip(v.normal, m))
+    return v.evaluate(m)
 
 
-def center(v: MonomialValuation) -> MonomialPrime:
+def center(v: FacetInequality) -> MonomialPrime:
     """The prime of positive-value monomials: the support of the normal."""
     return MonomialPrime(v.support())
 

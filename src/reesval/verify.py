@@ -4,7 +4,8 @@ mechanical checks tying them to the Rees valuation centers.
 The chain Ass(R / closure(I^n)) increases with n and its terminal value is
 exactly the center set B*(I); stabilization is therefore detected against
 that target rather than by plateau heuristics (a plateau can be temporary
-in principle, the target cannot).
+in principle, the target cannot).  A returned `AsymptoticReport` has
+reached B*(I) by construction; failing to reach it raises NotStabilized.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .core import MonomialIdeal, contains_in_power, equals, saturate
 from .errors import InvalidInput, NotStabilized
 from .newton import compute_np, integral_closure_power, np_contains
-from .primes import MonomialPrime, associated_primes, minimal_primes
+from .primes import MonomialPrime, associated_primes
 from .valuations import BStarSet, b_star
 
 DEFAULT_CHAIN_CAP = 8
@@ -32,7 +33,6 @@ class AsymptoticReport:
     stable_set: frozenset[MonomialPrime]
     stabilization_index: int
     b_star: BStarSet
-    verdict_cor26: bool
     verdict_monotone: bool
 
 
@@ -66,7 +66,7 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
         raise InvalidInput("n_cap must be a positive integer")
     if not I.is_proper_nonzero():
         raise InvalidInput("asymptotic primes need a proper nonzero ideal")
-    target = b_star(I).centers
+    target = b_star(I)
     chain: list[tuple[int, frozenset[MonomialPrime]]] = []
     monotone = True
     previous: Optional[frozenset[MonomialPrime]] = None
@@ -76,30 +76,16 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
         if previous is not None and not previous <= ass_n:
             monotone = False
         previous = ass_n
-        if ass_n == target:
+        if ass_n == target.centers:
             return AsymptoticReport(
                 ideal=I,
                 chain=tuple(chain),
                 stable_set=ass_n,
                 stabilization_index=n,
-                b_star=b_star(I),
-                verdict_cor26=True,
+                b_star=target,
                 verdict_monotone=monotone,
             )
     raise NotStabilized(n_cap, chain)
-
-
-def verify_centers_match(
-    I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP
-) -> tuple[bool, AsymptoticReport]:
-    """Stabilized Ass chain equals the Rees valuation centers, exactly."""
-    report = a_star(I, n_cap)
-    return report.verdict_cor26 and report.stable_set == report.b_star.centers, report
-
-
-def verify_min_primes_contained(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> bool:
-    """Every minimal prime of I belongs to the stable associated-prime set."""
-    return minimal_primes(I) <= a_star(I, n_cap).stable_set
 
 
 def verify_localization(

@@ -5,8 +5,11 @@ import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reesval.cli import main, run_corpus
+from reesval import InvalidInput, MonomialPrime, RingContext, normalize
+from reesval.cli import _load_corpus_entry, main, run_corpus
 
 
 def run_cli(*argv):
@@ -124,20 +127,41 @@ def test_unknown_subcommand_exit_two():
     assert code == 2
 
 
-def test_verification_failure_exit_one(monkeypatch):
+def sabotage_lemma21i(monkeypatch):
     # no valid input can make the checks fail, so force a failing verdict
-    # to pin the exit-code contract
+    # to pin the exit-code contract: a "minimal prime" on a variable outside
+    # the ring lies in no stable set
     import reesval.cli as cli_module
 
-    real = cli_module.verify_centers_match
+    monkeypatch.setattr(
+        cli_module, "minimal_primes",
+        lambda I: frozenset({MonomialPrime((I.ring.dimension,))}),
+    )
 
-    def sabotaged(I, n_cap):
-        _, rep = real(I, n_cap)
-        return False, rep
 
-    monkeypatch.setattr(cli_module, "verify_centers_match", sabotaged)
-    code, _ = run_cli("verify", "cor26", "--ideal", "x", "--ring", "Q[x]")
+def test_verification_failure_exit_one(monkeypatch):
+    sabotage_lemma21i(monkeypatch)
+    code, out = run_cli("verify", "cor26", "--ideal", "x", "--ring", "Q[x]")
     assert code == 1
+    assert "lemma21i: FAIL" in out
+    code, out = run_cli("verify", "all", "--ideal", "x", "--ring", "Q[x]", "--json")
+    assert code == 1
+    assert json.loads(out)["cor26"]["verdicts"] == {
+        "cor26": True, "lemma21i": False, "monotone": True,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("astar", "--ring", "Q[x,y]", "--ideal", "x^2,x*y"),
+    ("verify", "cor26", "--ring", "Q[x,y]", "--ideal", "x^2,x*y"),
+    ("verify", "thm31", "--ring", "Q[x,y,z]", "--ideal", "x^2,x*y", "--s-vars", "z"),
+])
+def test_cap_zero_exit_two(argv, capsys):
+    # 0 is not a cap, and must not fall back to the default one
+    code, out = run_cli(*argv, "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "n_cap" in capsys.readouterr().err
 
 
 def test_json_output_byte_identical():
@@ -222,6 +246,94 @@ def test_corpus_not_stabilized_exit_three(tmp_path):
     assert code == 3
     report = json.loads(out.splitlines()[0])
     assert report["error"] == "not_stabilized"
+
+
+def test_corpus_verification_failure_exit_one(tmp_path, monkeypatch):
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": "e1", "ring": ["x", "y"], "gens": [[2, 0], [1, 1]]}),
+        json.dumps({"id": "e2", "ring": ["x"], "gens": [[1]]}),
+    ])
+    sabotage_lemma21i(monkeypatch)
+    code, out = run_cli("corpus", path)
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["verdicts"]["lemma21i"] is False
+    assert lines[0]["verdicts"]["cor26"] is True
+    assert lines[2]["summary"]["failed_ids"] == ["e1", "e2"]
+    assert lines[2]["summary"]["all_passed"] is False
+
+
+def test_corpus_cap_zero_exit_two(tmp_path, capsys):
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": "e1", "ring": ["x"], "gens": [[1]]}),
+    ])
+    code, out = run_cli("corpus", path, "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "n_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_vars", [[["x"]], [{}], ["x", ["y"]]])
+def test_corpus_unhashable_s_vars_rejected(tmp_path, capsys, s_vars):
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": "e1", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": s_vars}),
+    ])
+    code, _ = run_cli("corpus", path)
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_corpus_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    code, _ = run_cli("corpus", str(path))
+    assert code == 2
+    assert "cannot read corpus" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+@st.composite
+def corpus_objects(draw):
+    """A near-valid entry with some fields dropped or replaced by any JSON."""
+    ring = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    vectors = st.lists(st.integers(0, 13), min_size=len(ring), max_size=len(ring))
+    entry = {
+        "id": draw(st.text(min_size=1, max_size=3)),
+        "ring": ring,
+        "gens": draw(st.lists(vectors, min_size=1, max_size=3)),
+        "s_vars": draw(st.lists(json_values | st.sampled_from(ring), min_size=1, max_size=3)),
+    }
+    for key in draw(st.sets(st.sampled_from([*entry, "other"]))):
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(json_values)
+    return entry
+
+
+corpus_lines = (
+    corpus_objects().map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=20)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_lines)
+@example('{"id": "a", "ring": ["x"], "gens": [[1]], "s_vars": [["x"]]}')
+@example('{"id": "a", "ring": ["x"], "gens": [[' + "1" * 5000 + ']]}')
+@example("[" * 100000)
+def test_corpus_loader_fuzz(line):
+    # a corpus line is accepted as a usable entry or rejected as
+    # InvalidInput (exit 2); nothing else may escape the loader
+    try:
+        entry = _load_corpus_entry(1, line)
+    except InvalidInput:
+        return
+    normalize([tuple(g) for g in entry["gens"]], RingContext(tuple(entry["ring"])))
 
 
 def test_corpus_duplicate_id_rejected(tmp_path):

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from reesval import (
+    FacetInequality,
     InvalidInput,
     MonomialPrime,
-    MonomialValuation,
     RingContext,
     b_star,
     center,
@@ -50,18 +50,18 @@ def test_rees_valuations_reject_degenerate():
 
 
 def test_value_examples():
-    v = MonomialValuation((3, 2), 6)
+    v = FacetInequality((3, 2), 6)
     assert value(v, (1, 1)) == 5
     assert value(v, (2, 0)) == 6
-    assert value(MonomialValuation((1, 0), 1), (0, 9)) == 0
+    assert value(FacetInequality((1, 0), 1), (0, 9)) == 0
     with pytest.raises(InvalidInput):
         value(v, (1, 1, 1))
 
 
 def test_center_examples():
-    assert center(MonomialValuation((3, 2), 6)) == MonomialPrime((0, 1))
-    assert center(MonomialValuation((1, 0), 1)) == MonomialPrime((0,))
-    assert center(MonomialValuation((1, 1), 2)) == MonomialPrime((0, 1))
+    assert center(FacetInequality((3, 2), 6)) == MonomialPrime((0, 1))
+    assert center(FacetInequality((1, 0), 1)) == MonomialPrime((0,))
+    assert center(FacetInequality((1, 1), 2)) == MonomialPrime((0, 1))
 
 
 def test_b_star_goldens():

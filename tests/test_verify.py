@@ -9,11 +9,11 @@ from reesval import (
     NotStabilized,
     RingContext,
     a_star,
+    b_star,
     closure_oracle_discrepancies,
+    minimal_primes,
     normalize,
-    verify_centers_match,
     verify_localization,
-    verify_min_primes_contained,
 )
 
 R2 = RingContext(("x", "y"))
@@ -35,8 +35,8 @@ def test_a_star_x2_xy():
     report = a_star(ideal_in(R2, (2, 0), (1, 1)))
     assert report.stabilization_index == 1
     assert report.stable_set == primes_of(R2, ("x",), ("x", "y"))
-    assert report.stable_set == report.b_star.centers
-    assert report.verdict_cor26 and report.verdict_monotone
+    assert report.stable_set == report.b_star.centers == b_star(report.ideal).centers
+    assert report.verdict_monotone
     assert report.chain == ((1, report.stable_set),)
 
 
@@ -82,14 +82,15 @@ def test_a_star_input_validation():
 
 
 def test_verify_centers_match_goldens():
-    ok, report = verify_centers_match(ideal_in(R2, (2, 0), (1, 1)))
-    assert ok and report.stable_set == primes_of(R2, ("x",), ("x", "y"))
-
-    ok, report = verify_centers_match(ideal_in(R2, (2, 3)))
-    assert ok and report.stable_set == primes_of(R2, ("x",), ("y",))
-
-    ok, report = verify_centers_match(ideal_in(R2, (1, 0), (0, 1)))
-    assert ok and report.stable_set == primes_of(R2, ("x", "y"))
+    # the stable set against the goldens and against a separate B* call
+    for gens, names in (
+        (((2, 0), (1, 1)), (("x",), ("x", "y"))),
+        (((2, 3),), (("x",), ("y",))),
+        (((1, 0), (0, 1)), (("x", "y"),)),
+    ):
+        I = ideal_in(R2, *gens)
+        stable = a_star(I).stable_set
+        assert stable == primes_of(R2, *names) == b_star(I).centers
 
 
 def test_verify_localization_admissible_principal():
@@ -122,9 +123,9 @@ def test_verify_localization_validation():
 
 
 def test_verify_min_primes_contained_examples():
-    assert verify_min_primes_contained(ideal_in(R2, (2, 0), (1, 1)))
-    assert verify_min_primes_contained(ideal_in(R2, (1, 1)))
-    assert verify_min_primes_contained(ideal_in(R2, (1, 0), (0, 1)))
+    for gens in (((2, 0), (1, 1)), ((1, 1),), ((1, 0), (0, 1))):
+        I = ideal_in(R2, *gens)
+        assert minimal_primes(I) <= a_star(I).stable_set
 
 
 def test_closure_oracle_agreement_small():
