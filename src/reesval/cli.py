@@ -340,6 +340,11 @@ def run_corpus(
 ) -> int:
     """Verify every corpus entry; JSONL report per entry plus a summary line."""
     out = out or sys.stdout
+    # checked before any entry is read, so an empty corpus cannot pass
+    # with a cap that no chain could run under
+    for name, value in (("n_cap", n_cap), ("jobs", jobs)):
+        if not isinstance(value, int) or value < 1:
+            raise InvalidInput(f"{name} must be a positive integer")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()

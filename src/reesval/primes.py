@@ -1,8 +1,9 @@
 """Associated primes of a monomial ideal.
 
-`associated_primes` reads them off an irreducible decomposition, obtained by
-repeatedly splitting a mixed generator into coprime parts until every branch
-is generated by pure variable powers, then discarding redundant components.
+`associated_primes` reads them off the irredundant irreducible decomposition,
+built by adding one generator at a time: a component that misses the new
+generator gives way to its sums with that generator's variable powers, and a
+grown component that contains another one is dropped.  Nothing is memoized.
 
 `associated_primes_bruteforce` rederives the same set straight from the
 definition (a prime is associated when it appears as a colon ideal) by
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import ge
 
 from .core import (
     MonomialIdeal,
     RingContext,
     colon,
-    ideal_sum,
+    divides,
     normalize,
 )
 from .errors import InvalidInput
@@ -72,9 +74,6 @@ class IrreducibleComponent:
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.bounds)
 
-    def contains_point(self, q: tuple[int, ...]) -> bool:
-        return any(q[v] >= e for v, e in self.bounds)
-
     def as_ideal(self, ring: RingContext) -> MonomialIdeal:
         d = ring.dimension
         return normalize(
@@ -90,101 +89,44 @@ def _require_proper_nonzero(J: MonomialIdeal) -> None:
         raise InvalidInput("operation needs a proper nonzero ideal")
 
 
-def _split_candidate(J: MonomialIdeal):
-    """Coprime split (m1, m2) of the first mixed generator, or None.
-
-    m1 is the pure power of the generator's first support variable, m2 the
-    rest; taking the first candidate keeps the recursion tree deterministic.
-    """
-    for g in J.min_gens:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) >= 2:
-            v = support[0]
-            m1 = tuple(e if i == v else 0 for i, e in enumerate(g))
-            m2 = tuple(0 if i == v else e for i, e in enumerate(g))
-            return m1, m2
-    return None
-
-
-def _base_component(J: MonomialIdeal) -> IrreducibleComponent:
-    bounds = []
-    for g in J.min_gens:
-        for i, e in enumerate(g):
-            if e:
-                bounds.append((i, e))
-    return IrreducibleComponent(tuple(sorted(bounds)))
-
-
-def _components(J: MonomialIdeal) -> frozenset[IrreducibleComponent]:
-    """All leaves of the splitting recursion (possibly redundant).
-
-    Iterative so deep splits of large closure ideals cannot hit the
-    interpreter recursion limit.  Branches of one tree often meet at the
-    same ideal, so subresults are memoized for the duration of the call.
-    """
-    memo: dict[MonomialIdeal, frozenset[IrreducibleComponent]] = {}
-    stack = [J]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        cand = _split_candidate(cur)
-        if cand is None:
-            memo[cur] = frozenset({_base_component(cur)})
-            stack.pop()
-            continue
-        m1, m2 = cand
-        left = ideal_sum(cur, normalize([m1], cur.ring))
-        right = ideal_sum(cur, normalize([m2], cur.ring))
-        missing = [side for side in (left, right) if side not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo[cur] = memo[left] | memo[right]
-            stack.pop()
-    return memo[J]
-
-
-def _filter_irredundant(
-    components: frozenset[IrreducibleComponent], dimension: int
-) -> list[IrreducibleComponent]:
-    """Drop components containing the intersection of the others.
-
-    A component C with bounds b is redundant exactly when its witness
-    monomial (b_v - 1 on the support, a dominating exponent elsewhere) is
-    missing from some other component: the witness is the componentwise-max
-    monomial outside C, so it lies in the intersection of the others iff any
-    monomial does.
-    """
-    comps = sorted(components, key=IrreducibleComponent.sort_key)
-    if len(comps) <= 1:
-        return comps
-    big = 1 + max(e for c in comps for _, e in c.bounds)
-
-    def witness(c: IrreducibleComponent) -> tuple[int, ...]:
-        w = [big] * dimension
-        for v, e in c.bounds:
-            w[v] = e - 1
-        return tuple(w)
-
-    i = 0
-    while i < len(comps):
-        w = witness(comps[i])
-        redundant = any(
-            j != i and not comps[j].contains_point(w) for j in range(len(comps))
-        )
-        if redundant:
-            comps.pop(i)
-        else:
-            i += 1
-    return comps
-
-
 def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """Irredundant irreducible components whose intersection is J."""
+    """Irredundant irreducible components whose intersection is J.
+
+    Adds one generator at a time, starting from the zero ideal, whose one
+    component has no bounds: (C_1 & ... & C_k) + (x^g) is the intersection
+    of the C_i that contain x^g and of the C_i + (x_v^{g_v}), v in supp g,
+    for the other C_i.  A grown component that contains a kept or another
+    grown one is dropped.  Kept components never need dropping: one that
+    contains a grown component contains its parent, but the components were
+    pairwise incomparable before the step.  Pairwise incomparable
+    irreducible components are irredundant.
+
+    A component is held as its bound vector b, with `big` for a variable
+    outside its support, so C contains x^g iff g_v >= b_v for some v, and C
+    contains D iff b^C <= b^D.  A component C without x^g has g_v < b_v, so
+    C + (x_v^{g_v}) just lowers b_v to g_v.
+    """
     _require_proper_nonzero(J)
-    return tuple(_filter_irredundant(_components(J), J.ring.dimension))
+    big = 1 + max(map(max, J.min_gens))
+    comps = [(big,) * J.ring.dimension]
+    for g in J.min_gens:
+        kept: list[tuple[int, ...]] = []
+        grown: set[tuple[int, ...]] = set()
+        for b in comps:
+            if any(map(ge, g, b)):
+                kept.append(b)
+            else:
+                grown.update(b[:v] + (e,) + b[v + 1 :] for v, e in enumerate(g) if e)
+        pool = kept + list(grown)
+        # divides(b, c) is b <= c, that is, b contains c
+        comps = kept + [
+            b for b in grown if not any(c != b and divides(b, c) for c in pool)
+        ]
+    found = (
+        IrreducibleComponent(tuple((v, e) for v, e in enumerate(b) if e < big))
+        for b in comps
+    )
+    return tuple(sorted(found, key=IrreducibleComponent.sort_key))
 
 
 def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:

@@ -4,7 +4,8 @@ Nothing here calls the code paths it is meant to check: facet enumeration
 is done by solving d-subsets of generators with rational elimination,
 power membership by literal enumeration of generator multisets, closure
 generators by a box scan whose membership test is the raw-power route
-only, and minimal generators by comparing every pair entry by entry.
+only, minimal generators by comparing every pair entry by entry, and
+irreducible components by one colon witness each.
 """
 
 from __future__ import annotations
@@ -170,3 +171,18 @@ def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         for m in product(*(range(b + 1) for b in box))
         if any(divides(g, m) for g in gens)
     )
+
+
+def colon_witness(J: MonomialIdeal, bounds) -> tuple[int, ...]:
+    """Witness w of the component (x_v^{b_v}) of J: (J : w) is the prime on
+    the component's support exactly when the component is irredundant.
+
+    w_v = b_v - 1 on the support and one more than J's largest generator
+    exponent elsewhere.  For a redundant component C, w misses some other
+    component D (w is the largest monomial outside C), and (D : w) does not
+    contain the prime, so neither does (J : w).
+    """
+    w = [1 + max(map(max, J.min_gens))] * J.ring.dimension
+    for v, e in bounds:
+        w[v] = e - 1
+    return tuple(w)

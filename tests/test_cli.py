@@ -273,6 +273,26 @@ def test_corpus_cap_zero_exit_two(tmp_path, capsys):
     assert "n_cap" in capsys.readouterr().err
 
 
+def test_corpus_empty_file_cap_zero_exit_two(tmp_path, capsys):
+    # the cap is checked before any entry is read, not once per entry
+    path = write_corpus(tmp_path, [])
+    code, out = run_cli("corpus", path, "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "n_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": "e1", "ring": ["x"], "gens": [[1]]}),
+    ])
+    code, out = run_cli("corpus", path, "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s_vars", [[["x"]], [{}], ["x", ["y"]]])
 def test_corpus_unhashable_s_vars_rejected(tmp_path, capsys, s_vars):
     path = write_corpus(tmp_path, [

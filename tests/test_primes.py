@@ -9,15 +9,18 @@ from reesval import (
     RingContext,
     associated_primes,
     associated_primes_bruteforce,
+    colon,
     contains_ideal,
     equals,
     ideal_intersection,
+    integral_closure_power,
     irreducible_decomposition,
     minimal_primes,
     normalize,
     unit_ideal,
     zero_ideal,
 )
+from oracles import colon_witness
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -89,6 +92,17 @@ def test_decomposition_irredundant_over_corpus(corpus_ideals):
             assert not contains_ideal(comp, others), (entry["id"], i)
 
 
+def test_decomposition_colon_certificates_over_corpus_closures(corpus_ideals):
+    # no size skip: one colon per component covers the large closures too
+    for entry, ideal in corpus_ideals:
+        for n in (1, 2):
+            J = integral_closure_power(ideal, n)
+            for comp in irreducible_decomposition(J):
+                prime = MonomialPrime(comp.support()).as_ideal(J.ring)
+                got = colon(J, colon_witness(J, comp.bounds))
+                assert equals(got, prime), (entry["id"], n, comp)
+
+
 # --- associated primes --------------------------------------------------------
 
 def test_associated_primes_x2_xy():
@@ -130,8 +144,6 @@ def test_oracle_agreement_worked_examples():
 def test_embedded_prime_of_triangle_square():
     # closure of the triangle edge ideal squared picks up the full maximal prime
     T = normalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], R3)
-    from reesval import integral_closure_power
-
     ass2 = associated_primes(integral_closure_power(T, 2))
     assert primes_of([("x", "y", "z")], R3) <= ass2
     assert associated_primes_bruteforce(integral_closure_power(T, 2)) == ass2

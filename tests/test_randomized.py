@@ -5,6 +5,7 @@ found the shipped deep-chain corpus entry used the same checks.
 """
 
 import random
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from reesval import (
@@ -13,13 +14,17 @@ from reesval import (
     associated_primes,
     associated_primes_bruteforce,
     b_star,
+    colon,
     compute_np,
+    ideal_intersection,
+    ideal_power,
     integral_closure_power,
+    irreducible_decomposition,
     minimal_primes,
     normalize,
     verify_localization,
 )
-from oracles import closure_by_power_oracle, facets_bruteforce
+from oracles import closure_by_power_oracle, colon_witness, facets_bruteforce
 
 NAMES = ("x", "y", "z", "w", "u", "v")
 
@@ -121,6 +126,25 @@ def test_ass_two_routes_randomized():
     for ideal in random_ideals(40, seed=303):
         assert associated_primes(ideal) == associated_primes_bruteforce(ideal), \
             ideal.min_gens
+
+
+def pure_powers(ring, bounds):
+    """The ideal generated by x_v^e for the (v, e) in bounds."""
+    d = ring.dimension
+    return normalize([tuple(e if i == v else 0 for i in range(d)) for v, e in bounds], ring)
+
+
+def test_decomposition_certified_randomized():
+    # intersection J plus a colon certificate per component pin down the
+    # unique irredundant decomposition; only core operations check it
+    for ideal in random_ideals(150, seed=606):
+        for J in (ideal, ideal_power(ideal, 2)):
+            comps = irreducible_decomposition(J)
+            parts = (pure_powers(J.ring, c.bounds) for c in comps)
+            assert reduce(ideal_intersection, parts) == J, J.min_gens
+            for c in comps:
+                prime = pure_powers(J.ring, ((v, 1) for v, _ in c.bounds))
+                assert colon(J, colon_witness(J, c.bounds)) == prime, (J.min_gens, c)
 
 
 def test_centers_identity_randomized():
