@@ -256,14 +256,19 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     """Membership of x^m in J^t, decided without materializing J^t.
 
     Searches for t generators (with repetition) whose exponent sum divides m.
-    This is raw-power membership expressed on the generators only; it never
-    consults any polyhedral data, so it can serve as the independent side of
-    closure cross-checks.
+    Generators are taken in a fixed order, each with a multiplicity from
+    its largest feasible value down.  A node with k generators still to
+    pick from gens[i:] and remainder rem is pruned when the k cheapest
+    picks already overshoot: k * (least degree in gens[i:]) > deg(rem), or
+    k * (least j-th exponent in gens[i:]) > rem_j for some coordinate j.
+    Both bounds read the generators only; like the rest of the search they
+    never consult any polyhedral data, so the result can serve as the
+    independent side of closure cross-checks.  t = 0 gives True.
     """
     m = check_vector(J.ring, m)
-    if not isinstance(t, int):
-        raise InvalidInput("power must be an integer")
-    if t <= 0:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise InvalidInput("power must be a non-negative integer")
+    if t == 0:
         return True
     if J.is_zero():
         return False
@@ -271,16 +276,19 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
         return True
     gens = sorted(J.min_gens, key=lambda g: -sum(g))
     n_gens = len(gens)
-    min_deg_from = [0] * (n_gens + 1)
-    for i in range(n_gens - 1, -1, -1):
-        deg = sum(gens[i])
-        min_deg_from[i] = deg if i == n_gens - 1 else min(deg, min_deg_from[i + 1])
+    min_deg_from = [sum(gens[-1])] * n_gens
+    min_exp_from = [gens[-1]] * n_gens
+    for i in range(n_gens - 2, -1, -1):
+        min_deg_from[i] = min(sum(gens[i]), min_deg_from[i + 1])
+        min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
     memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
     def search(i: int, rem: tuple[int, ...], k: int) -> bool:
         if k == 0:
             return True
         if i == n_gens or min_deg_from[i] * k > sum(rem):
+            return False
+        if any(k * e > r for e, r in zip(min_exp_from[i], rem)):
             return False
         key = (i, rem, k)
         cached = memo.get(key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,6 +27,7 @@ from .core import (
     check_vector,
     contains_monomial,
     ideal_power,
+    ideal_product,
     normalize,
 )
 from .errors import InvalidInput
@@ -185,24 +186,36 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(I.ring, tuple(facets), I.min_gens)
 
 
-def _check_rational_point(ring: RingContext, q: Iterable) -> tuple[Fraction, ...]:
-    point = tuple(Fraction(c) for c in q)
-    if len(point) != ring.dimension:
-        raise InvalidInput(
-            f"point {point} has length {len(point)}, expected {ring.dimension}"
-        )
-    if any(c < 0 for c in point):
-        raise InvalidInput("point coordinates must be non-negative")
-    return point
+def _exact(c) -> bool:
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
 def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
-    """Is q inside scale * NP?  Exact rational arithmetic throughout."""
-    point = _check_rational_point(np_.ring, q)
-    t = Fraction(scale)
-    if t < 0:
+    """Is q inside scale * NP?  Coordinates and scale are ints or Fractions.
+
+    Denominators are cleared once: with D the lcm of the coordinate
+    denominators, P = D*q is an integer vector and s = s_num/s_den, so
+    a.q >= s*b becomes the integer comparison (a.P) * s_den >= s_num * D * b
+    for every facet a.x >= b.
+    """
+    coords = tuple(q)
+    if len(coords) != np_.ring.dimension:
+        raise InvalidInput(
+            f"point {coords} has length {len(coords)}, expected {np_.ring.dimension}"
+        )
+    if not all(map(_exact, coords)):
+        raise InvalidInput(f"point {coords} needs int or Fraction coordinates")
+    if not _exact(scale):
+        raise InvalidInput("scale must be an int or a Fraction")
+    den = lcm(*(c.denominator for c in coords))
+    point = [c.numerator * (den // c.denominator) for c in coords]
+    if any(c < 0 for c in point):
+        raise InvalidInput("point coordinates must be non-negative")
+    if scale < 0:
         raise InvalidInput("scale must be non-negative")
-    return all(_dot(f.normal, point) >= t * f.offset for f in np_.facets)
+    s_den = scale.denominator
+    rhs = scale.numerator * den
+    return all(_dot(f.normal, point) * s_den >= rhs * f.offset for f in np_.facets)
 
 
 def _minimal_lattice_members(
@@ -250,17 +263,31 @@ def _minimal_lattice_members(
     return out
 
 
+# Most product steps one call of integral_closure_power recurses through.
+_CLOSURE_RECURSION_STEP = 100
+
+
 @lru_cache(maxsize=None)
 def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """The monomial ideal of all lattice points of n * NP(I).
 
-    Minimal generators are found inside the box prod [0, n*M_i] with M the
-    componentwise generator maxima; any lattice point of the dilation that
-    leaves the box dominates one inside it (see the repo README for the
-    one-paragraph argument), so the scan is complete.
+    For n >= max(2, d) this is I * closure(I^(n-1)) (the Caratheodory
+    argument in the repo README).  Below that, minimal generators are found
+    inside the box prod [0, n*M_i] with M the componentwise generator
+    maxima; any lattice point of the dilation that leaves the box dominates
+    one inside it (see the README for the one-paragraph argument), so the
+    scan is complete.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput("closure power must be a positive integer")
+    start = max(2, I.ring.dimension)
+    if n >= start:
+        # a cold call recurses once per power; closing every step-th power
+        # first, upward, caches stopping points, so the stack stays shallow
+        # for any n
+        for k in range(start + _CLOSURE_RECURSION_STEP, n, _CLOSURE_RECURSION_STEP):
+            integral_closure_power(I, k)
+        return ideal_product(integral_closure_power(I, n - 1), I)
     np_ = compute_np(I)
     bounds = tuple(n * m for m in I.max_exponents())
     return normalize(_minimal_lattice_members(np_.facets, bounds, n), I.ring)

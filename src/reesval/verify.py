@@ -126,18 +126,39 @@ def closure_oracle_discrepancies(
 
     For each monomial m and dilation n, facet membership of m in n*NP(I)
     must agree with the raw-power route: some k <= k_max has x^{km} in
-    I^{kn}.  Returns the disagreeing (m, n) pairs, empty when the routes
-    agree everywhere.
+    I^{kn}.  Returns the disagreeing (m, n) pairs in the order of
+    `monomials` and then `n_values`, empty when the routes agree everywhere.
+
+    The raw-power route asks fewer questions than the definition.  For each
+    k it tries the dilations in ascending order, skips those already known
+    to be members, and stops at the first failure: x^{km} outside I^{kn}
+    is also outside I^{kn''} for every n'' > n, since I^{kn''} is inside
+    I^{kn}.  So each n still ends up a member exactly when some k <= k_max
+    puts x^{km} in I^{kn}, and the route never reads the facets.
     """
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
+        raise InvalidInput("k_max must be a positive integer")
+    n_values = tuple(n_values)
+    if not n_values or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
+    ):
+        raise InvalidInput("n_values must be a non-empty list of positive integers")
     np_ = compute_np(I)
+    dilations = sorted(set(n_values))
     bad = []
     for m in monomials:
+        members: set[int] = set()
+        for k in range(1, k_max + 1):
+            km = tuple(k * e for e in m)
+            for n in dilations:
+                if n in members:
+                    continue
+                if not contains_in_power(I, km, k * n):
+                    break
+                members.add(n)
+            if len(members) == len(dilations):
+                break
         for n in n_values:
-            by_facets = np_contains(np_, m, n)
-            by_powers = any(
-                contains_in_power(I, tuple(k * e for e in m), k * n)
-                for k in range(1, k_max + 1)
-            )
-            if by_facets != by_powers:
+            if np_contains(np_, m, n) != (n in members):
                 bad.append((tuple(m), n))
     return bad

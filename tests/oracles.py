@@ -135,21 +135,27 @@ def monomial_in_power_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> bool:
     )
 
 
+def in_closure_by_powers(
+    I: MonomialIdeal, m: tuple[int, ...], n: int, k_max: int = 12
+) -> bool:
+    """Raw-power closure membership by its definition: some k <= k_max
+    has x^{km} in I^{kn}, every k tried."""
+    return any(
+        contains_in_power(I, tuple(k * e for e in m), k * n)
+        for k in range(1, k_max + 1)
+    )
+
+
 def closure_by_power_oracle(
     I: MonomialIdeal, n: int, k_max: int = 12
 ) -> set[tuple[int, ...]]:
     """Minimal generators of the closure of I^n computed from raw powers
     only: box-scan membership via exists k <= k_max with x^{km} in I^{kn}."""
-
-    def member(m: tuple[int, ...]) -> bool:
-        return any(
-            contains_in_power(I, tuple(k * e for e in m), k * n)
-            for k in range(1, k_max + 1)
-        )
-
     bounds = tuple(n * e for e in I.max_exponents())
     members = {
-        m for m in product(*(range(b + 1) for b in bounds)) if member(m)
+        m
+        for m in product(*(range(b + 1) for b in bounds))
+        if in_closure_by_powers(I, m, n, k_max)
     }
     d = len(bounds)
     minimal = set()

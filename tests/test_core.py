@@ -4,7 +4,7 @@ properties (normalization, membership, colon adjointness, saturation)."""
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval import (
@@ -334,6 +334,42 @@ def test_contains_in_power_degenerate_ideals():
     assert not contains_in_power(zero_ideal(R2), (1, 1), 2)
     assert contains_in_power(unit_ideal(R2), (0, 0), 7)
     assert contains_in_power(ideal2((1, 0)), (0, 5), 0)
+
+
+NAMES = ("x", "y", "z", "w", "u")
+
+
+@st.composite
+def ideals_points_powers(draw):
+    d = draw(st.integers(3, 5))
+    vec = st.tuples(*[st.integers(0, 3)] * d)
+    gens = draw(st.lists(vec.filter(any), min_size=1, max_size=4))
+    m = draw(st.tuples(*[st.integers(0, 9)] * d))
+    return gens, m, draw(st.integers(1, 4))
+
+
+# The pinned cases sit at the componentwise prune: every generator has a
+# positive x-exponent, so 4 picks need x^4.  In the members, 4 picks fit
+# x^4 exactly (a prune at k * 1 >= rem_x would wrongly refuse them); in the
+# non-members, x^3 is too small while the degree bound still passes.
+@settings(max_examples=150, deadline=None)
+@given(ideals_points_powers())
+@example((((1, 1, 0), (1, 0, 1)), (4, 2, 2), 4))
+@example((((1, 1, 0), (1, 0, 1)), (3, 5, 5), 4))
+@example((((1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 1)), (4, 2, 1, 1, 1), 4))
+@example((((1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 1)), (3, 2, 2, 2, 2), 4))
+def test_contains_in_power_matches_reference_wide(case):
+    gens, m, t = case
+    J = normalize(gens, RingContext(NAMES[:len(m)]))
+    assert contains_in_power(J, m, t) == monomial_in_power_ref(J, m, t)
+
+
+def test_contains_in_power_rejects_negative_or_bool_power():
+    J = ideal2((1, 0), (0, 1))
+    for t in (-1, -3, True, False, 1.0, "2"):
+        with pytest.raises(InvalidInput):
+            contains_in_power(J, (0, 0), t)
+    assert contains_in_power(J, (0, 0), 0)
 
 
 # --- input caps -------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reesval.newton
@@ -110,6 +110,37 @@ def test_np_contains_examples():
         np_contains(np_, (-1, 0), 1)
 
 
+def test_np_contains_rejects_inexact_inputs():
+    np_ = compute_np(ideal2((2, 0), (0, 3)))
+    for q in ((0.1, 2.95), ("1/2", "3"), (1, None), (True, 3), (1, 2, 3), (Fraction(-1, 2), 4)):
+        with pytest.raises(InvalidInput):
+            np_contains(np_, q, 1)
+    for scale in (0.5, "1", None, True, Fraction(-1, 3), -1):
+        with pytest.raises(InvalidInput):
+            np_contains(np_, (2, 3), scale)
+
+
+# 3x + 2y >= 6 is the one positive-offset facet of NP(x^2, y^3); points and
+# scales on a coarse rational grid land on its dilations often
+grid = st.fractions(min_value=0, max_value=8, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.one_of(st.integers(0, 8), grid), st.one_of(st.integers(0, 8), grid)),
+    st.one_of(st.integers(0, 3), st.fractions(min_value=0, max_value=3, max_denominator=6)),
+)
+@example((Fraction(1, 3), Fraction(5, 4)), Fraction(7, 12))  # 3.5 >= 3.5
+@example((Fraction(1, 3), Fraction(5, 4)), Fraction(29, 48))  # 3.5 < 3.625
+def test_np_contains_matches_fraction_definition(q, scale):
+    np_ = compute_np(ideal2((2, 0), (0, 3)))
+    expected = all(
+        sum(a * Fraction(c) for a, c in zip(f.normal, q)) >= Fraction(scale) * f.offset
+        for f in np_.facets
+    )
+    assert np_contains(np_, q, scale) == expected
+
+
 # --- integral closure -----------------------------------------------------------
 
 def test_closure_x2_y3_with_power_oracle():
@@ -154,6 +185,14 @@ def test_power_contained_in_closure(corpus_ideals):
             assert contains_ideal(
                 integral_closure_power(ideal, n), ideal_power(ideal, n)
             ), (entry["id"], n)
+
+
+def test_closure_of_a_large_power_keeps_the_stack_shallow():
+    # every power from the threshold on is one product step; a cold call
+    # must not recurse once per step (about 500 steps exhaust the default
+    # recursion limit)
+    assert integral_closure_power(normalize([(2,)], R1), 3000).min_gens == ((6000,),)
+    assert integral_closure_power(ideal2((1, 1)), 2500).min_gens == ((2500, 2500),)
 
 
 def test_closure_literal_raw_power_equivalence_small():

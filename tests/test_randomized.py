@@ -18,12 +18,14 @@ from reesval import (
     compute_np,
     ideal_intersection,
     ideal_power,
+    ideal_product,
     integral_closure_power,
     irreducible_decomposition,
     minimal_primes,
     normalize,
     verify_localization,
 )
+from reesval.newton import _minimal_lattice_members
 from oracles import closure_by_power_oracle, colon_witness, facets_bruteforce
 
 NAMES = ("x", "y", "z", "w", "u", "v")
@@ -120,6 +122,46 @@ def test_closure_matches_power_oracle_randomized():
         for n in (1, 2):
             assert set(integral_closure_power(ideal, n).min_gens) == \
                 closure_by_power_oracle(ideal, n), (ideal.min_gens, n)
+
+
+def closure_by_walk(ideal, n):
+    bounds = tuple(n * e for e in ideal.max_exponents())
+    members = _minimal_lattice_members(compute_np(ideal).facets, bounds, n)
+    return normalize(members, ideal.ring)
+
+
+def test_closure_product_route_matches_walk():
+    # integral_closure_power returns I * closure(I^(n-1)) for n >= max(2, d);
+    # the lattice walk is the reference.  The walk grows fast with d and n,
+    # so 5-variable ideals stay few and small.
+    rng = random.Random(707)
+    for d, count, e_max in ((1, 8, 6), (2, 20, 5), (3, 20, 4), (4, 12, 2), (5, 3, 2)):
+        while count:
+            gens = [
+                tuple(rng.randint(0, e_max) for _ in range(d))
+                for _ in range(rng.randint(1, 4))
+            ]
+            ideal = normalize([g for g in gens if any(g)], RingContext(NAMES[:d]))
+            if not ideal.is_proper_nonzero():
+                continue
+            count -= 1
+            for n in sorted({max(2, d), d + 1}):
+                assert integral_closure_power(ideal, n) == closure_by_walk(ideal, n), \
+                    (ideal.min_gens, n)
+
+
+def test_closure_product_threshold_is_sharp():
+    # I = (x_1^d, ..., x_d^d) has closure(I^n) = (x_1, ..., x_d)^(dn).  At
+    # n = d - 1 the monomial (x_1 ... x_d)^(d-1) lies in it, but no exponent
+    # reaches d, so it is not in I * closure(I^(d-2)): the walk is needed
+    # below n = d.
+    for d in (3, 4):
+        ring = RingContext(NAMES[:d])
+        ideal = normalize([tuple(d * (i == v) for i in range(d)) for v in range(d)], ring)
+        below = integral_closure_power(ideal, d - 1)
+        assert (d - 1,) * d in below.min_gens
+        assert below != ideal_product(integral_closure_power(ideal, d - 2), ideal)
+        assert integral_closure_power(ideal, d) == closure_by_walk(ideal, d)
 
 
 def test_ass_two_routes_randomized():

@@ -1,8 +1,11 @@
 """The asymptotic chain, its stabilization against the centers, and the
 localization check, including the pinned negative example."""
 
+import random
+
 import pytest
 
+import reesval.verify
 from reesval import (
     InvalidInput,
     MonomialPrime,
@@ -11,10 +14,14 @@ from reesval import (
     a_star,
     b_star,
     closure_oracle_discrepancies,
+    compute_np,
     minimal_primes,
     normalize,
+    np_contains,
     verify_localization,
 )
+from reesval.sampling import sample_box
+from oracles import in_closure_by_powers
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -132,3 +139,57 @@ def test_closure_oracle_agreement_small():
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
+
+
+def test_closure_oracle_matches_literal_definition():
+    # small k_max makes the routes disagree (k = 1 is plain power
+    # membership), so the pairs compared are not all empty; unsorted and
+    # repeated dilations check that pairs keep the order of n_values
+    rng = random.Random(808)
+    rings = {2: R2, 3: R3}
+    n_values = (3, 1, 2, 1)
+    disagreements = 0
+    for _ in range(12):
+        d = rng.choice((2, 3))
+        gens = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        I = normalize([g for g in gens if any(g)], rings[d])
+        if not I.is_proper_nonzero():
+            continue
+        np_ = compute_np(I)
+        # twice the generator box reaches members of the larger dilations
+        box = tuple(2 * e for e in I.max_exponents())
+        monomials = sample_box(box, 30, f"oracle:{I.min_gens}")
+        for k_max in (1, 2, 12):
+            expected = [
+                (m, n)
+                for m in monomials
+                for n in n_values
+                if np_contains(np_, m, n) != in_closure_by_powers(I, m, n, k_max)
+            ]
+            got = closure_oracle_discrepancies(I, monomials, n_values, k_max)
+            assert got == expected, (I.min_gens, k_max)
+            disagreements += len(got)
+    assert disagreements
+
+
+def test_closure_oracle_reports_planted_flip(monkeypatch):
+    I = ideal_in(R2, (2, 0), (0, 3))
+    monomials = [(a, b) for a in range(3) for b in range(4)]
+    assert closure_oracle_discrepancies(I, monomials) == []
+    honest = reesval.verify.np_contains
+
+    def flipped(np_, m, n):
+        return honest(np_, m, n) != (tuple(m) == (1, 2) and n == 2)
+
+    monkeypatch.setattr(reesval.verify, "np_contains", flipped)
+    assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
+
+
+def test_closure_oracle_rejects_bad_arguments():
+    I = ideal_in(R2, (2, 0), (0, 3))
+    for k_max in (0, -1, True, 2.0):
+        with pytest.raises(InvalidInput):
+            closure_oracle_discrepancies(I, [(2, 0)], (1,), k_max)
+    for n_values in ((), (0,), (1, -2), (True,), (1.0,)):
+        with pytest.raises(InvalidInput):
+            closure_oracle_discrepancies(I, [(2, 0)], n_values)
