@@ -27,6 +27,10 @@ from .errors import InvalidInput
 MAX_DIMENSION = 6
 MAX_INPUT_EXPONENT = 12
 
+# Most product steps one call of `ideal_power` or of
+# `newton.integral_closure_power` recurses through.
+RECURSION_STEP = 100
+
 ExponentVector = tuple  # tuple[int, ...] of length ring.dimension
 
 
@@ -213,6 +217,10 @@ def ideal_power(J: MonomialIdeal, n: int) -> MonomialIdeal:
         return unit_ideal(J.ring)
     if n == 1:
         return J
+    # a cold call recurses once per power; computing every step-th power
+    # first, upward, caches stopping points, so the stack stays shallow
+    for k in range(1 + RECURSION_STEP, n, RECURSION_STEP):
+        ideal_power(J, k)
     return ideal_product(ideal_power(J, n - 1), J)
 
 
@@ -264,6 +272,10 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     Both bounds read the generators only; like the rest of the search they
     never consult any polyhedral data, so the result can serve as the
     independent side of closure cross-checks.  t = 0 gives True.
+
+    The search and its set-up (generator order, suffix minima) live in
+    `_power_search`, which callers asking many questions of one ideal build
+    once.
     """
     m = check_vector(J.ring, m)
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
@@ -274,6 +286,16 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
         return False
     if J.is_unit():
         return True
+    return _power_search(J)(m, t)
+
+
+def _power_search(J: MonomialIdeal):
+    """The raw-power search of `contains_in_power`, set up once for J.
+
+    Returns member(m, t), true iff x^m is in J^t, for a nonzero J, an
+    already validated m and an int t >= 0.  Each member call keeps its own
+    memo, so no answer depends on the questions asked before it.
+    """
     gens = sorted(J.min_gens, key=lambda g: -sum(g))
     n_gens = len(gens)
     min_deg_from = [sum(gens[-1])] * n_gens
@@ -281,31 +303,35 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     for i in range(n_gens - 2, -1, -1):
         min_deg_from[i] = min(sum(gens[i]), min_deg_from[i + 1])
         min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
-    memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
-    def search(i: int, rem: tuple[int, ...], k: int) -> bool:
-        if k == 0:
-            return True
-        if i == n_gens or min_deg_from[i] * k > sum(rem):
-            return False
-        if any(k * e > r for e, r in zip(min_exp_from[i], rem)):
-            return False
-        key = (i, rem, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        g = gens[i]
-        cmax = k
-        for c_rem, c_g in zip(rem, g):
-            if c_g:
-                cmax = min(cmax, c_rem // c_g)
-        result = False
-        for c in range(cmax, -1, -1):
-            nxt = tuple(r - c * e for r, e in zip(rem, g))
-            if search(i + 1, nxt, k - c):
-                result = True
-                break
-        memo[key] = result
-        return result
+    def member(m: tuple[int, ...], t: int) -> bool:
+        memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
-    return search(0, m, t)
+        def search(i: int, rem: tuple[int, ...], k: int) -> bool:
+            if k == 0:
+                return True
+            if i == n_gens or min_deg_from[i] * k > sum(rem):
+                return False
+            if any(k * e > r for e, r in zip(min_exp_from[i], rem)):
+                return False
+            key = (i, rem, k)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            g = gens[i]
+            cmax = k
+            for c_rem, c_g in zip(rem, g):
+                if c_g:
+                    cmax = min(cmax, c_rem // c_g)
+            result = False
+            for c in range(cmax, -1, -1):
+                nxt = tuple(r - c * e for r, e in zip(rem, g))
+                if search(i + 1, nxt, k - c):
+                    result = True
+                    break
+            memo[key] = result
+            return result
+
+        return search(0, m, t)
+
+    return member

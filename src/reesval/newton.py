@@ -22,6 +22,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
+    RECURSION_STEP,
     MonomialIdeal,
     RingContext,
     check_vector,
@@ -223,10 +224,15 @@ def _minimal_lattice_members(
 ) -> list[tuple[int, ...]]:
     """Minimal lattice points of scale*NP inside the box prod [0, bounds[i]].
 
-    Depth-first over coordinates with two prunings: abandon a prefix when
-    even the box-completion misses some facet, and stop descending once the
-    zero-completion is already a member (everything below the prefix then
-    dominates it, so the zero-completion is the only minimal candidate).
+    Depth-first over the first d - 1 coordinates with two prunings: abandon
+    a prefix when even the box-completion misses some facet, and stop
+    descending once the zero-completion is already a member (everything
+    below the prefix then dominates it, so the zero-completion is the only
+    minimal candidate).  The last coordinate is solved, not scanned: a
+    facet with a_d = 0 that the prefix misses rules the prefix out, and
+    otherwise the least feasible q_d is the largest ceil(shortfall / a_d)
+    over the facets with a_d > 0.  Then q - e_d misses a facet, so only the
+    prefix coordinates need the minimality test (see the README).
     """
     d = len(bounds)
     normals = [f.normal for f in facets]
@@ -237,10 +243,11 @@ def _minimal_lattice_members(
         [sum(normals[f][j] * bounds[j] for j in range(i, d)) for i in range(d + 1)]
         for f in range(nf)
     ]
+    last = [normals[f][d - 1] for f in range(nf)]
     out: list[tuple[int, ...]] = []
 
-    def is_minimal(q: tuple[int, ...], dots: list[int]) -> bool:
-        for j in range(d):
+    def is_minimal(q: tuple[int, ...], dots: list[int], upto: int) -> bool:
+        for j in range(upto):
             if q[j] and all(dots[f] - normals[f][j] >= targets[f] for f in range(nf)):
                 return False
         return True
@@ -248,10 +255,22 @@ def _minimal_lattice_members(
     def walk(i: int, prefix: tuple[int, ...], dots: list[int]) -> None:
         if all(dots[f] >= targets[f] for f in range(nf)):
             q = prefix + (0,) * (d - i)
-            if is_minimal(q, dots):
+            if is_minimal(q, dots, i):
                 out.append(q)
             return
-        if i == d:
+        if i == d - 1:
+            v = 0
+            for f in range(nf):
+                short = targets[f] - dots[f]
+                if short > 0:
+                    if not last[f]:
+                        return
+                    v = max(v, -(-short // last[f]))
+            if v > bounds[i]:
+                return
+            dots = [dots[f] + v * last[f] for f in range(nf)]
+            if is_minimal(prefix + (v,), dots, i):
+                out.append(prefix + (v,))
             return
         if any(dots[f] + suffix_max[f][i] < targets[f] for f in range(nf)):
             return
@@ -261,10 +280,6 @@ def _minimal_lattice_members(
 
     walk(0, (), [0] * nf)
     return out
-
-
-# Most product steps one call of integral_closure_power recurses through.
-_CLOSURE_RECURSION_STEP = 100
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +300,7 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         # a cold call recurses once per power; closing every step-th power
         # first, upward, caches stopping points, so the stack stays shallow
         # for any n
-        for k in range(start + _CLOSURE_RECURSION_STEP, n, _CLOSURE_RECURSION_STEP):
+        for k in range(start + RECURSION_STEP, n, RECURSION_STEP):
             integral_closure_power(I, k)
         return ideal_product(integral_closure_power(I, n - 1), I)
     np_ = compute_np(I)

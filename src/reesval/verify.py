@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import MonomialIdeal, contains_in_power, equals, saturate
+from .core import MonomialIdeal, _power_search, check_vector, equals, saturate
 from .errors import InvalidInput, NotStabilized
 from .newton import compute_np, integral_closure_power, np_contains
 from .primes import MonomialPrime, associated_primes
@@ -134,7 +134,9 @@ def closure_oracle_discrepancies(
     to be members, and stops at the first failure: x^{km} outside I^{kn}
     is also outside I^{kn''} for every n'' > n, since I^{kn''} is inside
     I^{kn}.  So each n still ends up a member exactly when some k <= k_max
-    puts x^{km} in I^{kn}, and the route never reads the facets.
+    puts x^{km} in I^{kn}, and the route never reads the facets.  The
+    search is set up once for I (`core._power_search`), and each sample is
+    validated once.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise InvalidInput("k_max must be a positive integer")
@@ -144,21 +146,23 @@ def closure_oracle_discrepancies(
     ):
         raise InvalidInput("n_values must be a non-empty list of positive integers")
     np_ = compute_np(I)
+    member = _power_search(I)
     dilations = sorted(set(n_values))
     bad = []
     for m in monomials:
+        m = check_vector(I.ring, m)
         members: set[int] = set()
         for k in range(1, k_max + 1):
             km = tuple(k * e for e in m)
             for n in dilations:
                 if n in members:
                     continue
-                if not contains_in_power(I, km, k * n):
+                if not member(km, k * n):
                     break
                 members.add(n)
             if len(members) == len(dilations):
                 break
         for n in n_values:
             if np_contains(np_, m, n) != (n in members):
-                bad.append((tuple(m), n))
+                bad.append((m, n))
     return bad

@@ -5,7 +5,9 @@ is done by solving d-subsets of generators with rational elimination,
 power membership by literal enumeration of generator multisets, closure
 generators by a box scan whose membership test is the raw-power route
 only, minimal generators by comparing every pair entry by entry, and
-irreducible components by one colon witness each.
+irreducible components by one colon witness each.  The lattice walk here
+scans every coordinate, the last one included, and tests minimality on
+all of them; the library's walk solves the last coordinate instead.
 """
 
 from __future__ import annotations
@@ -168,6 +170,49 @@ def closure_by_power_oracle(
         if not any(q in members for q in below):
             minimal.add(m)
     return minimal
+
+
+def minimal_lattice_members_ref(facets, bounds, scale) -> list[tuple[int, ...]]:
+    """Minimal lattice points of scale*NP inside the box prod [0, bounds[i]],
+    by a depth-first walk over every coordinate.
+
+    Two prunings: abandon a prefix when even the box-completion misses some
+    facet, and stop descending once the zero-completion is already a member
+    (everything below the prefix then dominates it).  A point is minimal
+    when no q - e_j meets every facet, tested for every coordinate j.
+    """
+    d = len(bounds)
+    normals = [f.normal for f in facets]
+    targets = [scale * f.offset for f in facets]
+    nf = len(facets)
+    suffix_max = [
+        [sum(normals[f][j] * bounds[j] for j in range(i, d)) for i in range(d + 1)]
+        for f in range(nf)
+    ]
+    out: list[tuple[int, ...]] = []
+
+    def is_minimal(q, dots) -> bool:
+        for j in range(d):
+            if q[j] and all(dots[f] - normals[f][j] >= targets[f] for f in range(nf)):
+                return False
+        return True
+
+    def walk(i, prefix, dots) -> None:
+        if all(dots[f] >= targets[f] for f in range(nf)):
+            q = prefix + (0,) * (d - i)
+            if is_minimal(q, dots):
+                out.append(q)
+            return
+        if i == d:
+            return
+        if any(dots[f] + suffix_max[f][i] < targets[f] for f in range(nf)):
+            return
+        col = [normals[f][i] for f in range(nf)]
+        for v in range(bounds[i] + 1):
+            walk(i + 1, prefix + (v,), [dots[f] + v * col[f] for f in range(nf)])
+
+    walk(0, (), [0] * nf)
+    return out
 
 
 def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic: worked examples plus exhaustive/randomized
 properties (normalization, membership, colon adjointness, saturation)."""
 
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -25,7 +26,7 @@ from reesval import (
     unit_ideal,
     zero_ideal,
 )
-from reesval.core import monomial_key
+from reesval.core import _power_search, monomial_key
 from oracles import minimal_generators_ref, monomial_in_power_ref, upset_in_box
 
 R1 = RingContext(("x",))
@@ -181,6 +182,14 @@ def test_power_contains_generator_sums():
 def test_power_matches_brute_force(gens, n):
     J = normalize(gens, R2)
     assert ideal_power(J, n).min_gens == brute_power_gens(J, n)
+
+
+def test_power_of_a_large_exponent_keeps_the_stack_shallow():
+    # a cold call used to recurse once per power, and about a thousand
+    # powers exhaust the default recursion limit
+    ideal_power.cache_clear()
+    assert ideal_power(normalize([(1,)], R1), 1200).min_gens == ((1200,),)
+    assert ideal_power(ideal2((2, 1)), 2500).min_gens == ((5000, 2500),)
 
 
 # --- intersection -----------------------------------------------------------
@@ -362,6 +371,38 @@ def test_contains_in_power_matches_reference_wide(case):
     gens, m, t = case
     J = normalize(gens, RingContext(NAMES[:len(m)]))
     assert contains_in_power(J, m, t) == monomial_in_power_ref(J, m, t)
+
+
+def test_power_search_answers_each_question_afresh():
+    # one set-up answers a shuffled run of questions, repeats and t = 0
+    # included; no answer may depend on the questions asked before it
+    rng = random.Random(909)
+    for d in (2, 3, 4, 5):
+        made = 0
+        while made < 6:
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(d))
+                for _ in range(rng.randint(1, 4))
+            ]
+            J = normalize([g for g in gens if any(g)], RingContext(NAMES[:d]))
+            if not J.is_proper_nonzero():
+                continue
+            made += 1
+            questions = []
+            for _ in range(10):
+                t = rng.randint(0, 3)
+                # a sum of t generators, nudged, or a point anywhere
+                m = [sum(col) for col in zip(*rng.choices(J.min_gens, k=t))] or [0] * d
+                m = [e + rng.randint(-1, 1) for e in m]
+                questions.append((tuple(max(0, e) for e in m), t))
+                questions.append((tuple(rng.randint(0, 6) for _ in range(d)), t))
+            questions += questions[:6]
+            rng.shuffle(questions)
+            member = _power_search(J)
+            for m, t in questions:
+                expected = monomial_in_power_ref(J, m, t)
+                assert member(m, t) == expected, (J.min_gens, m, t)
+                assert contains_in_power(J, m, t) == expected, (J.min_gens, m, t)
 
 
 def test_contains_in_power_rejects_negative_or_bool_power():

@@ -26,7 +26,12 @@ from reesval import (
     verify_localization,
 )
 from reesval.newton import _minimal_lattice_members
-from oracles import closure_by_power_oracle, colon_witness, facets_bruteforce
+from oracles import (
+    closure_by_power_oracle,
+    colon_witness,
+    facets_bruteforce,
+    minimal_lattice_members_ref,
+)
 
 NAMES = ("x", "y", "z", "w", "u", "v")
 
@@ -126,8 +131,46 @@ def test_closure_matches_power_oracle_randomized():
 
 def closure_by_walk(ideal, n):
     bounds = tuple(n * e for e in ideal.max_exponents())
-    members = _minimal_lattice_members(compute_np(ideal).facets, bounds, n)
+    members = minimal_lattice_members_ref(compute_np(ideal).facets, bounds, n)
     return normalize(members, ideal.ring)
+
+
+def test_lattice_walk_matches_reference():
+    # the library walk solves the last coordinate in closed form; the
+    # reference scans it.  Both return the same points in the same order,
+    # on the full box and on boxes cut below it.
+    rng = random.Random(808)
+    cases = [
+        # z is absent: facets with a_z = 0, x >= 1 among them, rule out
+        # every prefix with x = 0
+        (normalize([(2, 0, 0), (1, 1, 0)], RingContext(NAMES[:3])), 1, None),
+        (normalize([(2, 0, 0), (1, 1, 0)], RingContext(NAMES[:3])), 2, None),
+        # boxes below n * M: the least feasible last coordinate can exceed
+        # the bound (y >= 3 for x = 0 in a box with y <= 1)
+        (normalize([(2, 0), (0, 3)], RingContext(NAMES[:2])), 1, (2, 1)),
+        (normalize([(3, 0, 0), (0, 2, 0), (0, 0, 4)], RingContext(NAMES[:3])), 2, (6, 4, 3)),
+    ]
+    for d, count, e_max in ((1, 6, 6), (2, 20, 5), (3, 20, 4), (4, 12, 3), (5, 6, 2)):
+        while count:
+            gens = [
+                tuple(rng.randint(0, e_max) for _ in range(d))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if d > 1 and rng.random() < 0.3:
+                gens = [g[:-1] + (0,) for g in gens]
+            ideal = normalize([g for g in gens if any(g)], RingContext(NAMES[:d]))
+            if not ideal.is_proper_nonzero():
+                continue
+            count -= 1
+            for n in range(1, max(2, d)):
+                full = tuple(n * e for e in ideal.max_exponents())
+                cases.append((ideal, n, None))
+                cases.append((ideal, n, tuple(max(0, b - rng.randint(1, 3)) for b in full)))
+    for ideal, n, bounds in cases:
+        bounds = bounds or tuple(n * e for e in ideal.max_exponents())
+        facets = compute_np(ideal).facets
+        assert _minimal_lattice_members(facets, bounds, n) == \
+            minimal_lattice_members_ref(facets, bounds, n), (ideal.min_gens, n, bounds)
 
 
 def test_closure_product_route_matches_walk():

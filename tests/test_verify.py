@@ -193,3 +193,8 @@ def test_closure_oracle_rejects_bad_arguments():
     for n_values in ((), (0,), (1, -2), (True,), (1.0,)):
         with pytest.raises(InvalidInput):
             closure_oracle_discrepancies(I, [(2, 0)], n_values)
+    # each sample is validated once, before the search, and still rejected;
+    # a string entry would otherwise reach the search as a TypeError
+    for sample in ((2,), (2, 0, 1), (-1, 3), (2.0, 0), (True, 2), ("1", 0)):
+        with pytest.raises(InvalidInput):
+            closure_oracle_discrepancies(I, [(1, 1), sample], (1, 2))
