@@ -64,9 +64,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every memoized result (used by timing-sensitive harness runs)."""
+    """Drop every memoized result: the Newton polyhedra and the closures of
+    powers (used by timing-sensitive harness runs)."""
     from . import newton
 
-    ideal_power.cache_clear()
     newton.compute_np.cache_clear()
     newton.integral_closure_power.cache_clear()

@@ -16,7 +16,6 @@ can be shared across workers and cached freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import le
 from typing import Iterable, Sequence
 
@@ -26,10 +25,6 @@ from .errors import InvalidInput
 # dimension, so oversized inputs are rejected instead of degrading silently.
 MAX_DIMENSION = 6
 MAX_INPUT_EXPONENT = 12
-
-# Most product steps one call of `ideal_power` or of
-# `newton.integral_closure_power` recurses through.
-RECURSION_STEP = 100
 
 ExponentVector = tuple  # tuple[int, ...] of length ring.dimension
 
@@ -89,14 +84,8 @@ class MonomialIdeal:
     min_gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(tuple(g) for g in self.min_gens)
+        gens = tuple(check_vector(self.ring.dimension, g) for g in self.min_gens)
         object.__setattr__(self, "min_gens", gens)
-        d = self.ring.dimension
-        for g in gens:
-            if len(g) != d:
-                raise InvalidInput(f"generator {g} has length {len(g)}, expected {d}")
-            if any(not isinstance(e, int) or e < 0 for e in g):
-                raise InvalidInput(f"generator {g} needs non-negative integer entries")
 
     def is_zero(self) -> bool:
         return not self.min_gens
@@ -124,12 +113,13 @@ def unit_ideal(ring: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ring, ((0,) * ring.dimension,))
 
 
-def check_vector(ring: RingContext, m: Iterable[int]) -> tuple[int, ...]:
-    """Validate an exponent vector against the ring; returns it as a tuple."""
+def check_vector(d: int, m: Iterable[int]) -> tuple[int, ...]:
+    """Validate an exponent vector of length d; returns it as a tuple."""
     m = tuple(m)
-    if len(m) != ring.dimension:
-        raise InvalidInput(f"vector {m} has length {len(m)}, expected {ring.dimension}")
-    if any(not isinstance(e, int) or e < 0 for e in m):
+    if len(m) != d:
+        raise InvalidInput(f"vector {m} has length {len(m)}, expected {d}")
+    # bool is an int subclass, but True is no exponent
+    if any(type(e) is not int or e < 0 for e in m):
         raise InvalidInput(f"vector {m} needs non-negative integer entries")
     return m
 
@@ -152,7 +142,7 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
     which lies in [1, 2^w - 1]: no borrow crosses a field, and the guard bit
     survives iff h_i <= g_i.  So h divides g iff the result has all of G set.
     """
-    seen = {check_vector(ring, g) for g in gens}
+    seen = {check_vector(ring.dimension, g) for g in gens}
     if not seen:
         return MonomialIdeal(ring, ())
     w = max(map(max, seen)).bit_length() + 1
@@ -179,7 +169,7 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
 
 def contains_monomial(J: MonomialIdeal, m: Iterable[int]) -> bool:
     """True iff some minimal generator divides x^m."""
-    m = check_vector(J.ring, m)
+    m = check_vector(J.ring.dimension, m)
     return any(divides(g, m) for g in J.min_gens)
 
 
@@ -208,20 +198,16 @@ def ideal_product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
     )
 
 
-@lru_cache(maxsize=None)
 def ideal_power(J: MonomialIdeal, n: int) -> MonomialIdeal:
     """J^n, normalized at every step.  n = 0 yields the unit ideal."""
     if not isinstance(n, int) or n < 0:
         raise InvalidInput("power must be a non-negative integer")
     if n == 0:
         return unit_ideal(J.ring)
-    if n == 1:
-        return J
-    # a cold call recurses once per power; computing every step-th power
-    # first, upward, caches stopping points, so the stack stays shallow
-    for k in range(1 + RECURSION_STEP, n, RECURSION_STEP):
-        ideal_power(J, k)
-    return ideal_product(ideal_power(J, n - 1), J)
+    power = J
+    for _ in range(n - 1):
+        power = ideal_product(power, J)
+    return power
 
 
 def ideal_intersection(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
@@ -235,7 +221,7 @@ def ideal_intersection(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
 
 def colon(J: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
     """(J : x^m), generated by the truncated differences g - m."""
-    m = check_vector(J.ring, m)
+    m = check_vector(J.ring.dimension, m)
     return normalize(
         (tuple(max(e - c, 0) for e, c in zip(g, m)) for g in J.min_gens), J.ring
     )
@@ -277,7 +263,7 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     `_power_search`, which callers asking many questions of one ideal build
     once.
     """
-    m = check_vector(J.ring, m)
+    m = check_vector(J.ring.dimension, m)
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise InvalidInput("power must be a non-negative integer")
     if t == 0:

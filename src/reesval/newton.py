@@ -22,11 +22,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
-    RECURSION_STEP,
     MonomialIdeal,
     RingContext,
     check_vector,
-    contains_monomial,
+    contains_in_power,
     ideal_power,
     ideal_product,
     normalize,
@@ -286,23 +285,20 @@ def _minimal_lattice_members(
 def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """The monomial ideal of all lattice points of n * NP(I).
 
-    For n >= max(2, d) this is I * closure(I^(n-1)) (the Caratheodory
-    argument in the repo README).  Below that, minimal generators are found
-    inside the box prod [0, n*M_i] with M the componentwise generator
-    maxima; any lattice point of the dilation that leaves the box dominates
-    one inside it (see the README for the one-paragraph argument), so the
-    scan is complete.
+    With s = max(1, d - 1), every n > s has n >= max(2, d), where
+    closure(I^n) = I * closure(I^(n-1)) (the Caratheodory argument in the
+    repo README); applied n - s times, that gives
+    closure(I^n) = I^(n-s) * closure(I^s).  For n <= s, minimal generators
+    are found inside the box prod [0, n*M_i] with M the componentwise
+    generator maxima; any lattice point of the dilation that leaves the box
+    dominates one inside it (see the README for the one-paragraph
+    argument), so the scan is complete.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput("closure power must be a positive integer")
-    start = max(2, I.ring.dimension)
-    if n >= start:
-        # a cold call recurses once per power; closing every step-th power
-        # first, upward, caches stopping points, so the stack stays shallow
-        # for any n
-        for k in range(start + RECURSION_STEP, n, RECURSION_STEP):
-            integral_closure_power(I, k)
-        return ideal_product(integral_closure_power(I, n - 1), I)
+    s = max(1, I.ring.dimension - 1)
+    if n > s:
+        return ideal_product(ideal_power(I, n - s), integral_closure_power(I, s))
     np_ = compute_np(I)
     bounds = tuple(n * m for m in I.max_exponents())
     return normalize(_minimal_lattice_members(np_.facets, bounds, n), I.ring)
@@ -317,7 +313,7 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     The minimum is taken by integer cross-multiplication (offsets are
     positive), and only the winner becomes a Fraction."""
     np_ = compute_np(I)
-    m = check_vector(I.ring, m)
+    m = check_vector(I.ring.dimension, m)
     num, den = 0, 0
     for f in np_.facets:
         b = f.offset
@@ -333,17 +329,16 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
 def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     """Largest t <= t_max with x^m in J^t; 0 when x^m is not even in J.
 
-    Total on degenerate ideals: the unit ideal gives t_max, the zero ideal
-    gives 0.  Callers bound the search themselves (membership is monotone
-    decreasing in t, so the first failure stops the scan).
+    Each membership is the raw-power search of `contains_in_power`, so no
+    power of J is materialized.  Total on degenerate ideals: the unit ideal
+    gives t_max, the zero ideal gives 0.  Callers bound the search
+    themselves (membership is monotone decreasing in t, so the first
+    failure stops the scan).
     """
-    m = check_vector(J.ring, m)
+    m = check_vector(J.ring.dimension, m)
     if not isinstance(t_max, int) or t_max < 1:
         raise InvalidInput("t_max must be a positive integer")
-    best = 0
     for t in range(1, t_max + 1):
-        if contains_monomial(ideal_power(J, t), m):
-            best = t
-        else:
-            break
-    return best
+        if not contains_in_power(J, m, t):
+            return t - 1
+    return t_max

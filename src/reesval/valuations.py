@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import MonomialIdeal
-from .errors import InvalidInput
+from .core import MonomialIdeal, check_vector
 from .newton import FacetInequality, compute_np
 from .primes import MonomialPrime
 
@@ -35,12 +34,7 @@ def rees_valuations(I: MonomialIdeal) -> tuple[FacetInequality, ...]:
 
 def value(v: FacetInequality, m: Iterable[int]) -> int:
     """The valuation applied to x^m (a dot product)."""
-    m = tuple(m)
-    if len(m) != len(v.normal):
-        raise InvalidInput(f"vector {m} has length {len(m)}, expected {len(v.normal)}")
-    if any(not isinstance(e, int) or e < 0 for e in m):
-        raise InvalidInput("exponent vector needs non-negative integer entries")
-    return v.evaluate(m)
+    return v.evaluate(check_vector(len(v.normal), m))
 
 
 def center(v: FacetInequality) -> MonomialPrime:

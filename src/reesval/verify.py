@@ -150,7 +150,7 @@ def closure_oracle_discrepancies(
     dilations = sorted(set(n_values))
     bad = []
     for m in monomials:
-        m = check_vector(I.ring, m)
+        m = check_vector(I.ring.dimension, m)
         members: set[int] = set()
         for k in range(1, k_max + 1):
             km = tuple(k * e for e in m)

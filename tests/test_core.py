@@ -74,6 +74,20 @@ def test_normalize_rejects_dimension_mismatch():
         normalize([(1, -1)], R2)
 
 
+def test_bool_entries_are_not_exponents():
+    # bool is an int subclass: True used to be kept as an exponent, and
+    # json.dumps printed it as `true`
+    for bad in ([(True, 0), (0, 2)], [(1, False)]):
+        with pytest.raises(InvalidInput):
+            normalize(bad, R2)
+    with pytest.raises(InvalidInput):
+        MonomialIdeal(R2, ((True, 0),))
+    J = ideal2((1, 0))
+    for ask in (contains_monomial, colon, lambda J, m: contains_in_power(J, m, 1)):
+        with pytest.raises(InvalidInput):
+            ask(J, (True, False))
+
+
 @settings(max_examples=80, deadline=None)
 @given(gen_sets2)
 def test_normalize_idempotent_antichain_and_upset_preserving(gens):
@@ -187,7 +201,6 @@ def test_power_matches_brute_force(gens, n):
 def test_power_of_a_large_exponent_keeps_the_stack_shallow():
     # a cold call used to recurse once per power, and about a thousand
     # powers exhaust the default recursion limit
-    ideal_power.cache_clear()
     assert ideal_power(normalize([(1,)], R1), 1200).min_gens == ((1200,),)
     assert ideal_power(ideal2((2, 1)), 2500).min_gens == ((5000, 2500),)
 

@@ -4,6 +4,7 @@ The facet set is checked against an independent subset-solving hull oracle
 and an incidence/rank audit; closures are recomputed through raw powers.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +31,12 @@ from reesval import (
     vbar,
     zero_ideal,
 )
-from oracles import closure_by_power_oracle, facets_bruteforce, rational_rank
+from oracles import (
+    closure_by_power_oracle,
+    facets_bruteforce,
+    monomial_in_power_ref,
+    rational_rank,
+)
 
 R1 = RingContext(("x",))
 R2 = RingContext(("x", "y"))
@@ -291,6 +297,36 @@ def test_samuel_order_goldens():
 def test_samuel_order_degenerate_ideals():
     assert samuel_order(unit_ideal(R2), (0, 0), 5) == 5
     assert samuel_order(zero_ideal(R2), (3, 3), 5) == 0
+
+
+def test_samuel_order_matches_literal_powers():
+    # the order against the literal t-multiset definition of J^t membership;
+    # points are sums of up to t_max + 1 generators plus a little noise, so
+    # orders of 0, in between and at the t_max cap all occur
+    rng = random.Random(4242)
+    seen = set()
+    for d in (2, 3, 4, 5):
+        ring = RingContext(("x", "y", "z", "w", "v")[:d])
+        for _ in range(12):
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(d))
+                for _ in range(rng.randint(1, 3))
+            ]
+            ideal = normalize([g for g in gens if any(g)] or [(1,) * d], ring)
+            for J in (ideal, unit_ideal(ring), zero_ideal(ring)):
+                for t_max in (1, 2, 3, 4):
+                    picks = [
+                        rng.choice(ideal.min_gens) for _ in range(rng.randint(1, t_max + 1))
+                    ]
+                    m = tuple(
+                        sum(g[j] for g in picks) + rng.randint(0, 1) for j in range(d)
+                    )
+                    expected = max(
+                        t for t in range(t_max + 1) if monomial_in_power_ref(J, m, t)
+                    )
+                    assert samuel_order(J, m, t_max) == expected, (J.min_gens, m, t_max)
+                    seen.add((expected == 0, expected == t_max))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_fekete_lower_approach():

@@ -54,8 +54,9 @@ def test_value_examples():
     assert value(v, (1, 1)) == 5
     assert value(v, (2, 0)) == 6
     assert value(FacetInequality((1, 0), 1), (0, 9)) == 0
-    with pytest.raises(InvalidInput):
-        value(v, (1, 1, 1))
+    for bad in ((1, 1, 1), (True, 1), (1.0, 1), (-1, 2)):
+        with pytest.raises(InvalidInput):
+            value(v, bad)
 
 
 def test_center_examples():
