@@ -200,7 +200,7 @@ def ideal_product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_power(J: MonomialIdeal, n: int) -> MonomialIdeal:
     """J^n, normalized at every step.  n = 0 yields the unit ideal."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise InvalidInput("power must be a non-negative integer")
     if n == 0:
         return unit_ideal(J.ring)

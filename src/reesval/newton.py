@@ -44,15 +44,15 @@ class FacetInequality:
         object.__setattr__(self, "normal", tuple(self.normal))
         if not self.normal or not any(self.normal):
             raise InvalidInput("facet normal must be nonzero")
-        if any(a < 0 for a in self.normal):
-            raise InvalidInput("facet normal must be non-negative")
+        if any(type(a) is not int or a < 0 for a in self.normal):
+            raise InvalidInput("facet normal needs non-negative int entries")
         g = 0
         for a in self.normal:
             g = gcd(g, a)
         if g != 1:
             raise InvalidInput("facet normal must be primitive")
-        if self.offset < 0:
-            raise InvalidInput("facet offset must be non-negative")
+        if type(self.offset) is not int or self.offset < 0:
+            raise InvalidInput("facet offset must be a non-negative int")
 
     @property
     def ideal_value(self) -> int:
@@ -281,7 +281,8 @@ def _minimal_lattice_members(
     return out
 
 
-@lru_cache(maxsize=None)
+# typed: True hashes like 1, and an untyped hit would skip the check on n
+@lru_cache(maxsize=None, typed=True)
 def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """The monomial ideal of all lattice points of n * NP(I).
 
@@ -294,7 +295,7 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     dominates one inside it (see the README for the one-paragraph
     argument), so the scan is complete.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInput("closure power must be a positive integer")
     s = max(1, I.ring.dimension - 1)
     if n > s:
@@ -336,7 +337,7 @@ def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     failure stops the scan).
     """
     m = check_vector(J.ring.dimension, m)
-    if not isinstance(t_max, int) or t_max < 1:
+    if type(t_max) is not int or t_max < 1:
         raise InvalidInput("t_max must be a positive integer")
     for t in range(1, t_max + 1):
         if not contains_in_power(J, m, t):

@@ -11,11 +11,12 @@ reached B*(I) by construction; failing to reach it raises NotStabilized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .core import MonomialIdeal, _power_search, check_vector, equals, saturate
 from .errors import InvalidInput, NotStabilized
-from .newton import compute_np, integral_closure_power, np_contains
+from .newton import FacetInequality, compute_np, integral_closure_power, np_contains
 from .primes import MonomialPrime, associated_primes
 from .valuations import BStarSet, b_star
 
@@ -62,7 +63,7 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
     Raises NotStabilized when the cap is hit first; that signals an
     undersized cap or an implementation bug, never a silent pass.
     """
-    if not isinstance(n_cap, int) or n_cap < 1:
+    if type(n_cap) is not int or n_cap < 1:
         raise InvalidInput("n_cap must be a positive integer")
     if not I.is_proper_nonzero():
         raise InvalidInput("asymptotic primes need a proper nonzero ideal")
@@ -105,7 +106,7 @@ def verify_localization(
         raise InvalidInput("localization needs at least one variable")
     if s_vars[0] < 0 or s_vars[-1] >= I.ring.dimension:
         raise InvalidInput("variable index out of range")
-    if not isinstance(n_cap, int) or n_cap < 1:
+    if type(n_cap) is not int or n_cap < 1:
         raise InvalidInput("n_cap must be a positive integer")
     centers = b_star(I).centers
     admissible = all(set(s_vars).isdisjoint(c.vars) for c in centers)
@@ -129,14 +130,18 @@ def closure_oracle_discrepancies(
     I^{kn}.  Returns the disagreeing (m, n) pairs in the order of
     `monomials` and then `n_values`, empty when the routes agree everywhere.
 
-    The raw-power route asks fewer questions than the definition.  For each
-    k it tries the dilations in ascending order, skips those already known
-    to be members, and stops at the first failure: x^{km} outside I^{kn}
-    is also outside I^{kn''} for every n'' > n, since I^{kn''} is inside
-    I^{kn}.  So each n still ends up a member exactly when some k <= k_max
-    puts x^{km} in I^{kn}, and the route never reads the facets.  The
-    search is set up once for I (`core._power_search`), and each sample is
-    validated once.
+    The raw-power route asks fewer questions than the definition.  A
+    separating weight (see `_separating_weights`) with w.m < n*b proves
+    x^{km} outside I^{kn} for every k, so those dilations are settled
+    without a search.  For each k the route tries the other dilations in
+    ascending order, skips those already known to be members, and stops at
+    the first failure: x^{km} outside I^{kn} is also outside I^{kn''} for
+    every n'' > n, since I^{kn''} is inside I^{kn}.  So each n still ends
+    up a member exactly when some k <= k_max puts x^{km} in I^{kn}.  The
+    facets are only hints for the weights, each checked against the
+    generators: a wrong, missing or weakened facet can cost searches but
+    never change an answer of this route.  The search is set up once for I
+    (`core._power_search`), and each sample is validated once.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise InvalidInput("k_max must be a positive integer")
@@ -146,23 +151,49 @@ def closure_oracle_discrepancies(
     ):
         raise InvalidInput("n_values must be a non-empty list of positive integers")
     np_ = compute_np(I)
+    weights = _separating_weights(I, np_.facets)
     member = _power_search(I)
     dilations = sorted(set(n_values))
     bad = []
     for m in monomials:
         m = check_vector(I.ring.dimension, m)
+        # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
+        cut = min((sum(map(mul, w, m)) // b for w, b in weights), default=dilations[-1])
+        open_n = [n for n in dilations if n <= cut]
         members: set[int] = set()
         for k in range(1, k_max + 1):
             km = tuple(k * e for e in m)
-            for n in dilations:
+            for n in open_n:
                 if n in members:
                     continue
                 if not member(km, k * n):
                     break
                 members.add(n)
-            if len(members) == len(dilations):
+            if len(members) == len(open_n):
                 break
         for n in n_values:
             if np_contains(np_, m, n) != (n in members):
                 bad.append((m, n))
     return bad
+
+
+def _separating_weights(
+    I: MonomialIdeal, facets: Iterable[FacetInequality]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The facet normals that certify non-membership in powers of I.
+
+    A weight w >= 0 with b = min w.g over the generators g of I proves
+    x^{km} outside I^{kn} for every k whenever w.m < n*b: a member has
+    km >= the sum of kn generators, so k*w.m >= kn*b.  The normals are
+    only candidates: the offsets are never read, b comes from the
+    generators, and a weight with a non-int or negative entry, or with
+    b = 0 (it certifies nothing), is dropped.  Returns the (w, b) pairs.
+    """
+    weights = []
+    for f in facets:
+        w = f.normal
+        if all(type(a) is int and a >= 0 for a in w):
+            b = min(sum(map(mul, w, g)) for g in I.min_gens)
+            if b > 0:
+                weights.append((w, b))
+    return weights

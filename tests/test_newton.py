@@ -68,6 +68,27 @@ def test_np_x2_xy():
     }
 
 
+def test_facet_inequality_needs_int_data():
+    # the oracle's separating weights need exact non-negative normals;
+    # bool is an int subclass but no coefficient
+    for normal, offset in (
+        ((1, 1), 2.5),
+        ((1, 1), True),
+        ((1, 1), Fraction(2)),
+        ((1, 1), -1),
+        ((1.0, 1), 2),
+        ((True, 1), 2),
+        ((Fraction(1), 1), 2),
+        (("1", 1), 2),
+        ((1, -1), 2),
+        ((0, 0), 2),
+        ((2, 2), 2),
+    ):
+        with pytest.raises(InvalidInput):
+            FacetInequality(normal, offset)
+    assert FacetInequality([3, 2], 6).normal == (3, 2)
+
+
 def test_np_rejects_unit_zero_ideal():
     with pytest.raises(InvalidInput):
         compute_np(unit_ideal(R2))

@@ -2,29 +2,38 @@
 localization check, including the pinned negative example."""
 
 import random
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
 import reesval.verify
 from reesval import (
+    FacetInequality,
     InvalidInput,
     MonomialPrime,
+    NewtonPolyhedron,
     NotStabilized,
     RingContext,
     a_star,
     b_star,
     closure_oracle_discrepancies,
     compute_np,
+    ideal_power,
+    integral_closure_power,
     minimal_primes,
     normalize,
     np_contains,
+    samuel_order,
     verify_localization,
 )
 from reesval.sampling import sample_box
+from reesval.verify import _separating_weights
 from oracles import in_closure_by_powers
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
+R4 = RingContext(("x", "y", "z", "w"))
 
 
 def ideal_in(ring, *gens):
@@ -198,3 +207,98 @@ def test_closure_oracle_rejects_bad_arguments():
     for sample in ((2,), (2, 0, 1), (-1, 3), (2.0, 0), (True, 2), ("1", 0)):
         with pytest.raises(InvalidInput):
             closure_oracle_discrepancies(I, [(1, 1), sample], (1, 2))
+
+
+def random_proper_ideals(rng, dims, count):
+    rings = {2: R2, 3: R3, 4: R4}
+    ideals = []
+    while len(ideals) < count:
+        d = rng.choice(dims)
+        gens = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        I = normalize([g for g in gens if any(g)], rings[d])
+        if I.is_proper_nonzero():
+            ideals.append(I)
+    return ideals
+
+
+def test_separating_weights_certify_only_non_members():
+    # w.m < n*b must leave x^{km} outside I^{kn} for every k; on honest
+    # facets the weights are exactly the positive-offset facets, because a
+    # facet's offset is attained at a generator
+    rng = random.Random(919)
+    certified = 0
+    for I in random_proper_ideals(rng, (2, 3, 4), 10):
+        facets = compute_np(I).facets
+        weights = _separating_weights(I, facets)
+        assert set(weights) == {(f.normal, f.offset) for f in facets if f.offset > 0}
+        box = tuple(2 * e for e in I.max_exponents())
+        for m in sample_box(box, 20, f"weights:{I.min_gens}"):
+            for n in (1, 2, 3):
+                if any(sum(map(mul, w, m)) < n * b for w, b in weights):
+                    certified += 1
+                    assert not in_closure_by_powers(I, m, n, 12), (I.min_gens, m, n)
+    assert certified
+
+
+def test_closure_oracle_answers_by_definition_on_corrupted_facets(monkeypatch):
+    # a raised offset would certify true members away if it were read, a
+    # dropped facet removes a weight; the raw route must still answer by
+    # the definition, so the pairs are the literal comparison against the
+    # corrupted facet route
+    rng = random.Random(4242)
+    n_values = (1, 2, 3)
+    flagged = 0
+    for I in random_proper_ideals(rng, (2, 3), 6):
+        honest = compute_np(I)
+        box = tuple(2 * e for e in I.max_exponents())
+        monomials = sample_box(box, 20, f"corrupt:{I.min_gens}")
+        by_powers = {(m, n): in_closure_by_powers(I, m, n) for m in monomials for n in n_values}
+        facets = honest.facets
+        for i, f in enumerate(facets):
+            if not f.offset:
+                continue
+            raised = FacetInequality(f.normal, f.offset + 1)
+            for corrupted in (
+                facets[:i] + (raised,) + facets[i + 1 :],
+                facets[:i] + facets[i + 1 :],
+            ):
+                np_ = NewtonPolyhedron(I.ring, corrupted, honest.points)
+                monkeypatch.setattr(reesval.verify, "compute_np", lambda _, p=np_: p)
+                expected = [
+                    (m, n)
+                    for m in monomials
+                    for n in n_values
+                    if np_contains(np_, m, n) != by_powers[m, n]
+                ]
+                assert closure_oracle_discrepancies(I, monomials, n_values) == expected
+                flagged += len(expected)
+    assert flagged
+
+
+def test_closure_oracle_drops_weights_with_negative_entries(monkeypatch):
+    # (2, -1) has b = min(4, 1) = 1 > 0 on (x^2, xy) but is no valid weight:
+    # it would certify x*y^3 away at n = 1, though xy divides it
+    I = ideal_in(R2, (2, 0), (1, 1))
+    honest = compute_np(I)
+    bogus = SimpleNamespace(normal=(2, -1), offset=1)
+    np_ = NewtonPolyhedron(I.ring, honest.facets + (bogus,), honest.points)
+    monkeypatch.setattr(reesval.verify, "compute_np", lambda _: np_)
+    assert closure_oracle_discrepancies(I, [(1, 3), (2, 0)], (1,)) == [((1, 3), 1)]
+
+
+def test_bool_is_no_power_or_cap():
+    # bool is an int subclass; True used to pass as 1, and a cached
+    # closure for n = 1 answered n = True without validating it
+    I = ideal_in(R2, (2, 0), (1, 1))
+    assert integral_closure_power(I, 1) == I
+    calls = (
+        lambda: ideal_power(I, True),
+        lambda: ideal_power(I, False),
+        lambda: integral_closure_power(I, True),
+        lambda: samuel_order(I, (2, 2), True),
+        lambda: a_star(I, True),
+        lambda: verify_localization(I, (1,), True),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
