@@ -20,10 +20,11 @@ from .core import (
     MAX_INPUT_EXPONENT,
     MonomialIdeal,
     RingContext,
+    check_count,
     normalize,
 )
 from .errors import InvalidInput, NotStabilized, ParseError
-from .newton import compute_np, integral_closure_power
+from .newton import compute_np, integral_closure_power, vbar
 from .parser import parse_ideal, parse_monomial, parse_ring, render_ideal
 from .primes import MonomialPrime, minimal_primes
 from .sampling import sample_box
@@ -70,8 +71,6 @@ def _linear_form(normal, ring: RingContext) -> str:
 
 
 def _require_ideal(args) -> MonomialIdeal:
-    if not args.ring or not args.ideal:
-        raise InvalidInput("--ring and --ideal are required")
     return parse_ideal(args.ideal, parse_ring(args.ring))
 
 
@@ -127,8 +126,6 @@ def _cmd_rees(args) -> int:
 
 
 def _cmd_vbar(args) -> int:
-    from .newton import vbar
-
     I = _require_ideal(args)
     m = parse_monomial(args.monomial, I.ring)
     v = vbar(I, m)
@@ -202,6 +199,10 @@ def _localization_json(report, ring: RingContext) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.check == "thm31" and args.s_vars is None:
+        raise InvalidInput("verify thm31 needs --s-vars")
+    if args.check == "cor26" and args.s_vars is not None:
+        raise InvalidInput("verify cor26 takes no --s-vars")
     I = _require_ideal(args)
     chain_cap = args.cap if args.cap is not None else DEFAULT_CHAIN_CAP
     loc_cap = args.cap if args.cap is not None else DEFAULT_LOCALIZATION_CAP
@@ -220,23 +221,19 @@ def _cmd_verify(args) -> int:
             print(f"monotone: {'PASS' if verdicts['monotone'] else 'FAIL'}")
             print(f"lemma21i: {'PASS' if verdicts['lemma21i'] else 'FAIL'}")
 
-    if args.check in ("thm31", "all"):
-        if args.s_vars is None:
-            if args.check == "thm31":
-                raise InvalidInput("verify thm31 needs --s-vars")
-        else:
-            s_vars = _parse_s_vars(args.s_vars, I.ring)
-            report = verify_localization(I, s_vars, loc_cap)
-            payload["thm31"] = _localization_json(report, I.ring)
-            failed = failed or (report.admissible and not report.holds())
-            if not args.json:
-                status = "PASS" if report.holds() else "FAIL"
-                if report.admissible:
-                    print(f"thm31: {status} (S admissible, n=1..{loc_cap})")
-                else:
-                    witness = report.counter_witness()
-                    note = f"counter-witness n={witness}" if witness else "no counter-witness found"
-                    print(f"thm31: S meets a center (inadmissible); {note}")
+    if args.s_vars is not None:  # thm31, or all with --s-vars
+        s_vars = _parse_s_vars(args.s_vars, I.ring)
+        report = verify_localization(I, s_vars, loc_cap)
+        payload["thm31"] = _localization_json(report, I.ring)
+        failed = failed or (report.admissible and not report.holds())
+        if not args.json:
+            status = "PASS" if report.holds() else "FAIL"
+            if report.admissible:
+                print(f"thm31: {status} (S admissible, n=1..{loc_cap})")
+            else:
+                witness = report.counter_witness()
+                note = f"counter-witness n={witness}" if witness else "no counter-witness found"
+                print(f"thm31: S meets a center (inadmissible); {note}")
 
     if args.json:
         print(_dump(payload if args.check == "all" else payload[args.check]))
@@ -342,9 +339,8 @@ def run_corpus(
     out = out or sys.stdout
     # checked before any entry is read, so an empty corpus cannot pass
     # with a cap that no chain could run under
-    for name, value in (("n_cap", n_cap), ("jobs", jobs)):
-        if not isinstance(value, int) or value < 1:
-            raise InvalidInput(f"{name} must be a positive integer")
+    check_count(n_cap, "n_cap", 1)
+    check_count(jobs, "jobs", 1)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
@@ -409,10 +405,9 @@ def _cmd_corpus(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", help='ring text, e.g. "Q[x,y]"')
-    common.add_argument("--ideal", help='ideal text, e.g. "x^2, x*y"')
+    common.add_argument("--ring", required=True, help='ring text, e.g. "Q[x,y]"')
+    common.add_argument("--ideal", required=True, help='ideal text, e.g. "x^2, x*y"')
     common.add_argument("--json", action="store_true", help="emit key-sorted JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     parser = argparse.ArgumentParser(
         prog="reesval",
@@ -447,8 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated variable names generating S (thm31)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("corpus", parents=[common], help="verify a JSON-lines corpus")
+    p = sub.add_parser("corpus", help="verify a JSON-lines corpus")
     p.add_argument("path", help="corpus file, one entry per line")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled oracle check")
     p.add_argument("--cap", type=int, default=None, help="chain cap (default 8)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--timings", action="store_true",

@@ -124,6 +124,26 @@ def check_vector(d: int, m: Iterable[int]) -> tuple[int, ...]:
     return m
 
 
+def check_count(value, name: str, least: int) -> int:
+    """Validate a count or index: a plain int >= least, returned unchanged.
+
+    bool is an int subclass, but True is no count.  Anything else raises
+    InvalidInput with a message that names the argument."""
+    if type(value) is not int or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_var_indexes(d: int, var_indexes: Iterable[int]) -> tuple[int, ...]:
+    """Sorted distinct 0-based variable indexes: at least one, each in [0, d)."""
+    idxs = sorted({check_count(i, "variable index", 0) for i in var_indexes})
+    if not idxs:
+        raise InvalidInput("at least one variable index is needed")
+    if idxs[-1] >= d:
+        raise InvalidInput(f"variable index {idxs[-1]} is out of range for {d} variables")
+    return tuple(idxs)
+
+
 def _same_ring(J: MonomialIdeal, K: MonomialIdeal) -> None:
     if J.ring != K.ring:
         raise InvalidInput("ideals live in different rings")
@@ -200,9 +220,7 @@ def ideal_product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_power(J: MonomialIdeal, n: int) -> MonomialIdeal:
     """J^n, normalized at every step.  n = 0 yields the unit ideal."""
-    if type(n) is not int or n < 0:
-        raise InvalidInput("power must be a non-negative integer")
-    if n == 0:
+    if check_count(n, "n", 0) == 0:
         return unit_ideal(J.ring)
     power = J
     for _ in range(n - 1):
@@ -234,12 +252,7 @@ def saturate(J: MonomialIdeal, var_indexes: Iterable[int]) -> MonomialIdeal:
     inverting those variables; for monomial ideals that is just zeroing out
     the chosen coordinates of every generator.  Indexes are 0-based.
     """
-    idxs = sorted(set(var_indexes))
-    if not idxs:
-        raise InvalidInput("saturation needs at least one variable")
-    if idxs[0] < 0 or idxs[-1] >= J.ring.dimension:
-        raise InvalidInput("variable index out of range")
-    drop = set(idxs)
+    drop = set(check_var_indexes(J.ring.dimension, var_indexes))
     return normalize(
         (tuple(0 if i in drop else e for i, e in enumerate(g)) for g in J.min_gens),
         J.ring,
@@ -264,9 +277,7 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     once.
     """
     m = check_vector(J.ring.dimension, m)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise InvalidInput("power must be a non-negative integer")
-    if t == 0:
+    if check_count(t, "t", 0) == 0:
         return True
     if J.is_zero():
         return False

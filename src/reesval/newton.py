@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .core import (
     MonomialIdeal,
     RingContext,
+    check_count,
     check_vector,
     contains_in_power,
     ideal_power,
@@ -41,18 +42,11 @@ class FacetInequality:
     offset: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(self.normal))
-        if not self.normal or not any(self.normal):
-            raise InvalidInput("facet normal must be nonzero")
-        if any(type(a) is not int or a < 0 for a in self.normal):
-            raise InvalidInput("facet normal needs non-negative int entries")
-        g = 0
-        for a in self.normal:
-            g = gcd(g, a)
-        if g != 1:
-            raise InvalidInput("facet normal must be primitive")
-        if type(self.offset) is not int or self.offset < 0:
-            raise InvalidInput("facet offset must be a non-negative int")
+        normal = tuple(self.normal)
+        object.__setattr__(self, "normal", check_vector(len(normal), normal))
+        if gcd(*normal) != 1:
+            raise InvalidInput("facet normal must be nonzero and primitive")
+        check_count(self.offset, "offset", 0)
 
     @property
     def ideal_value(self) -> int:
@@ -295,8 +289,7 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     dominates one inside it (see the README for the one-paragraph
     argument), so the scan is complete.
     """
-    if type(n) is not int or n < 1:
-        raise InvalidInput("closure power must be a positive integer")
+    check_count(n, "n", 1)
     s = max(1, I.ring.dimension - 1)
     if n > s:
         return ideal_product(ideal_power(I, n - s), integral_closure_power(I, s))
@@ -337,8 +330,7 @@ def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     failure stops the scan).
     """
     m = check_vector(J.ring.dimension, m)
-    if type(t_max) is not int or t_max < 1:
-        raise InvalidInput("t_max must be a positive integer")
+    check_count(t_max, "t_max", 1)
     for t in range(1, t_max + 1):
         if not contains_in_power(J, m, t):
             return t - 1

@@ -20,6 +20,7 @@ from operator import ge
 from .core import (
     MonomialIdeal,
     RingContext,
+    check_count,
     colon,
     divides,
     normalize,
@@ -34,12 +35,12 @@ class MonomialPrime:
     vars: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idxs = tuple(self.vars)
+        idxs = tuple(check_count(v, "variable index", 0) for v in self.vars)
         object.__setattr__(self, "vars", idxs)
         if not idxs:
             raise InvalidInput("a monomial prime needs at least one variable")
-        if list(idxs) != sorted(set(idxs)) or idxs[0] < 0:
-            raise InvalidInput("variable indexes must be non-negative and strictly ascending")
+        if list(idxs) != sorted(set(idxs)):
+            raise InvalidInput("variable indexes must be strictly ascending")
 
     def sort_key(self):
         return (len(self.vars), self.vars)
@@ -48,12 +49,7 @@ class MonomialPrime:
         return tuple(ring.variable_names[i] for i in self.vars)
 
     def as_ideal(self, ring: RingContext) -> MonomialIdeal:
-        if self.vars[-1] >= ring.dimension:
-            raise InvalidInput("prime uses a variable outside the ring")
-        d = ring.dimension
-        return normalize(
-            (tuple(1 if i == v else 0 for i in range(d)) for v in self.vars), ring
-        )
+        return IrreducibleComponent(tuple((v, 1) for v in self.vars)).as_ideal(ring)
 
 
 @dataclass(frozen=True)
@@ -63,19 +59,22 @@ class IrreducibleComponent:
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        bounds = tuple((int(v), int(e)) for v, e in self.bounds)
+        bounds = tuple(
+            (check_count(v, "variable index", 0), check_count(e, "exponent", 1))
+            for v, e in self.bounds
+        )
         object.__setattr__(self, "bounds", bounds)
         idxs = [v for v, _ in bounds]
-        if not bounds or idxs != sorted(set(idxs)) or idxs[0] < 0:
+        if not bounds or idxs != sorted(set(idxs)):
             raise InvalidInput("component bounds need ascending distinct variables")
-        if any(e < 1 for _, e in bounds):
-            raise InvalidInput("component exponents must be >= 1")
 
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.bounds)
 
     def as_ideal(self, ring: RingContext) -> MonomialIdeal:
         d = ring.dimension
+        if self.bounds[-1][0] >= d:
+            raise InvalidInput("component uses a variable outside the ring")
         return normalize(
             (tuple(e if i == v else 0 for i in range(d)) for v, e in self.bounds), ring
         )
@@ -148,8 +147,7 @@ def associated_primes_bruteforce(
     _require_proper_nonzero(J)
     if box_bound is None:
         box_bound = 1 + max(e for g in J.min_gens for e in g)
-    if box_bound < 1:
-        raise InvalidInput("box bound must be a positive integer")
+    check_count(box_bound, "box_bound", 1)
     found = set()
     for m in product(range(box_bound + 1), repeat=J.ring.dimension):
         q = colon(J, m)

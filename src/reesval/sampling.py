@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .core import check_count
+
 
 def box_volume(bounds: Sequence[int]) -> int:
     vol = 1
@@ -26,6 +28,7 @@ def sample_box(bounds: Sequence[int], cap: int, seed_key: str) -> list[tuple[int
     at most `cap` points, otherwise `cap` points drawn without replacement
     by a generator seeded from `seed_key` (stable across runs and machines).
     """
+    check_count(cap, "cap", 0)
     vol = box_volume(bounds)
     if vol <= cap:
         return [_decode(i, bounds) for i in range(vol)]

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .core import MonomialIdeal, _power_search, check_vector, equals, saturate
+from .core import (
+    MonomialIdeal,
+    _power_search,
+    check_count,
+    check_var_indexes,
+    check_vector,
+    equals,
+    saturate,
+)
 from .errors import InvalidInput, NotStabilized
 from .newton import FacetInequality, compute_np, integral_closure_power, np_contains
 from .primes import MonomialPrime, associated_primes
@@ -63,8 +71,7 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
     Raises NotStabilized when the cap is hit first; that signals an
     undersized cap or an implementation bug, never a silent pass.
     """
-    if type(n_cap) is not int or n_cap < 1:
-        raise InvalidInput("n_cap must be a positive integer")
+    check_count(n_cap, "n_cap", 1)
     if not I.is_proper_nonzero():
         raise InvalidInput("asymptotic primes need a proper nonzero ideal")
     target = b_star(I)
@@ -101,13 +108,8 @@ def verify_localization(
     inputs are still processed, observationally: the same checks run, and a
     failing n is reported as a counter-witness instead of an error.
     """
-    s_vars = tuple(sorted(set(s_var_indexes)))
-    if not s_vars:
-        raise InvalidInput("localization needs at least one variable")
-    if s_vars[0] < 0 or s_vars[-1] >= I.ring.dimension:
-        raise InvalidInput("variable index out of range")
-    if type(n_cap) is not int or n_cap < 1:
-        raise InvalidInput("n_cap must be a positive integer")
+    s_vars = check_var_indexes(I.ring.dimension, s_var_indexes)
+    check_count(n_cap, "n_cap", 1)
     centers = b_star(I).centers
     admissible = all(set(s_vars).isdisjoint(c.vars) for c in centers)
     per_n = []
@@ -143,13 +145,10 @@ def closure_oracle_discrepancies(
     never change an answer of this route.  The search is set up once for I
     (`core._power_search`), and each sample is validated once.
     """
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise InvalidInput("k_max must be a positive integer")
-    n_values = tuple(n_values)
-    if not n_values or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
-    ):
-        raise InvalidInput("n_values must be a non-empty list of positive integers")
+    check_count(k_max, "k_max", 1)
+    n_values = tuple(check_count(n, "n_values entry", 1) for n in n_values)
+    if not n_values:
+        raise InvalidInput("n_values must not be empty")
     np_ = compute_np(I)
     weights = _separating_weights(I, np_.facets)
     member = _power_search(I)

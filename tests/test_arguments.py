@@ -1,0 +1,70 @@
+"""Every count and variable-index argument is checked one way.
+
+A count is a plain int at or above the entry point's least value; bool is
+an int subclass but no count.  Anything else raises InvalidInput naming
+the argument, never a TypeError, a silent coercion or a vacuous pass.
+"""
+
+import pytest
+
+from reesval import (
+    FacetInequality,
+    InvalidInput,
+    IrreducibleComponent,
+    MonomialPrime,
+    RingContext,
+    a_star,
+    associated_primes_bruteforce,
+    closure_oracle_discrepancies,
+    contains_in_power,
+    ideal_power,
+    integral_closure_power,
+    normalize,
+    samuel_order,
+    saturate,
+    verify_localization,
+)
+from reesval.cli import run_corpus
+from reesval.sampling import sample_box
+
+R2 = RingContext(("x", "y"))
+I = normalize([(2, 0), (1, 1)], R2)
+
+# the counts are checked before the corpus file is opened, so none is needed
+MISSING_CORPUS = "no-such-corpus.jsonl"
+
+
+def oracle(k_max=12, n=1):
+    return closure_oracle_discrepancies(I, [(1, 1)], (1, n), k_max)
+
+
+# entry point -> (name in the message, least accepted value, call)
+ARGUMENTS = {
+    "ideal_power": ("n", 0, lambda v: ideal_power(I, v)),
+    "contains_in_power": ("t", 0, lambda v: contains_in_power(I, (2, 2), v)),
+    "integral_closure_power": ("n", 1, lambda v: integral_closure_power(I, v)),
+    "samuel_order": ("t_max", 1, lambda v: samuel_order(I, (2, 2), v)),
+    "a_star": ("n_cap", 1, lambda v: a_star(I, v)),
+    "verify_localization.n_cap": ("n_cap", 1, lambda v: verify_localization(I, (1,), v)),
+    "verify_localization.index": ("variable index", 0, lambda v: verify_localization(I, [v])),
+    "saturate": ("variable index", 0, lambda v: saturate(I, [v])),
+    "closure_oracle.k_max": ("k_max", 1, lambda v: oracle(k_max=v)),
+    "closure_oracle.n_values": ("n_values", 1, lambda v: oracle(n=v)),
+    "run_corpus.n_cap": ("n_cap", 1, lambda v: run_corpus(MISSING_CORPUS, n_cap=v)),
+    "run_corpus.jobs": ("jobs", 1, lambda v: run_corpus(MISSING_CORPUS, jobs=v)),
+    "associated_primes_bruteforce": ("box_bound", 1, lambda v: associated_primes_bruteforce(I, v)),
+    "sample_box": ("cap", 0, lambda v: sample_box((3, 3), v, "k")),
+    "FacetInequality.offset": ("offset", 0, lambda v: FacetInequality((1, 1), v)),
+    "MonomialPrime": ("variable index", 0, lambda v: MonomialPrime((v,))),
+    "IrreducibleComponent.index": ("variable index", 0, lambda v: IrreducibleComponent(((v, 2),))),
+    "IrreducibleComponent.exponent": ("exponent", 1, lambda v: IrreducibleComponent(((1, v),))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARGUMENTS))
+def test_count_arguments_are_plain_ints_at_least_least(entry):
+    name, least, call = ARGUMENTS[entry]
+    for bad in (True, 1.5, "2", least - 1):
+        with pytest.raises(InvalidInput, match=rf"^{name}\b"):
+            call(bad)
+    call(least)  # the bound is the intended one

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reesval import InvalidInput, MonomialPrime, RingContext, normalize
 from reesval.cli import _load_corpus_entry, main, run_corpus
+from conftest import CORPUS_PATH
 
 
 def run_cli(*argv):
@@ -168,6 +169,23 @@ def test_json_output_byte_identical():
     _, first = run_cli("rees", "--ring", "Q[x,y]", "--ideal", "x^2,x*y", "--json")
     _, second = run_cli("rees", "--ring", "Q[x,y]", "--ideal", "x^2,x*y", "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("np", "--ring", "Q[x,y]", "--ideal", "x^2,y^3", "--seed", "3"),
+     "unrecognized arguments: --seed"),
+    (("corpus", str(CORPUS_PATH), "--json"), "unrecognized arguments: --json"),
+    (("verify", "cor26", "--ring", "Q[x]", "--ideal", "x", "--s-vars", "x"),
+     "takes no --s-vars"),
+    (("np", "--ideal", "x^2,y^3"), "required: --ring"),
+], ids=["np-seed", "corpus-json", "cor26-s-vars", "np-no-ring"])
+def test_option_the_subcommand_does_not_take_exit_two(argv, message, capsys):
+    # every option a subcommand accepts is read: one it does not take is a
+    # usage error instead of being ignored, and argparse names a missing one
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
 
 
 # --- corpus runner ------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from reesval import (
     InvalidInput,
+    IrreducibleComponent,
     MonomialPrime,
     RingContext,
     associated_primes,
@@ -71,6 +72,19 @@ def test_decomposition_rejects_unit_and_zero():
         irreducible_decomposition(unit_ideal(R2))
     with pytest.raises(InvalidInput):
         irreducible_decomposition(zero_ideal(R2))
+
+
+def test_component_outside_the_ring_is_rejected():
+    # a variable outside the ring is an error for a component, as for a
+    # prime, never a bound to drop
+    for bounds in (((5, 1),), ((0, 2), (2, 1))):
+        with pytest.raises(InvalidInput):
+            IrreducibleComponent(bounds).as_ideal(R2)
+    with pytest.raises(InvalidInput):
+        MonomialPrime((5,)).as_ideal(R2)
+    # a monomial prime is the component with every exponent 1
+    assert MonomialPrime((0, 1)).as_ideal(R2) == ideal2((1, 0), (0, 1))
+    assert IrreducibleComponent(((1, 3),)).as_ideal(R2) == ideal2((0, 3))
 
 
 def test_decomposition_reconstruction_over_corpus(corpus_ideals):
