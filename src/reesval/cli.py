@@ -234,6 +234,10 @@ def _cmd_verify(args) -> int:
                 witness = report.counter_witness()
                 note = f"counter-witness n={witness}" if witness else "no counter-witness found"
                 print(f"thm31: S meets a center (inadmissible); {note}")
+    elif args.check == "all":  # thm31 needs S: report it as not checked
+        payload["thm31"] = None
+        if not args.json:
+            print("thm31: SKIPPED (no --s-vars)")
 
     if args.json:
         print(_dump(payload if args.check == "all" else payload[args.check]))

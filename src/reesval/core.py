@@ -134,9 +134,22 @@ def check_count(value, name: str, least: int) -> int:
     return value
 
 
+def check_indexes(var_indexes: Iterable[int]) -> tuple[int, ...]:
+    """A collection of 0-based variable indexes, each checked with
+    check_count, as a tuple in the given order.  A bare int or any other
+    non-iterable raises InvalidInput naming the argument, not TypeError."""
+    try:
+        items = tuple(var_indexes)
+    except TypeError:
+        raise InvalidInput(
+            f"variable indexes must be a collection of integers, got {var_indexes!r}"
+        ) from None
+    return tuple(check_count(i, "variable index", 0) for i in items)
+
+
 def check_var_indexes(d: int, var_indexes: Iterable[int]) -> tuple[int, ...]:
     """Sorted distinct 0-based variable indexes: at least one, each in [0, d)."""
-    idxs = sorted({check_count(i, "variable index", 0) for i in var_indexes})
+    idxs = sorted(set(check_indexes(var_indexes)))
     if not idxs:
         raise InvalidInput("at least one variable index is needed")
     if idxs[-1] >= d:

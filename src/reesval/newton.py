@@ -60,9 +60,6 @@ class FacetInequality:
     def evaluate(self, m: Sequence[int]) -> int:
         return sum(map(mul, self.normal, m))
 
-    def sort_key(self):
-        return (len(self.support()), self.normal, self.offset)
-
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
@@ -71,15 +68,18 @@ class NewtonPolyhedron:
     points: tuple[tuple[int, ...], ...]
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    return tuple(v // g for v in vec)
-
-
 def _dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
+
+
+def _bit_indexes(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
@@ -89,22 +89,41 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     generator points at height 1.  The first d+1 constraints form a
     triangular system, so the initial simplicial cone's rays are written
     down directly; every further constraint keeps the non-negative rays and
-    inserts one combination per adjacent (positive, negative) pair.  All
-    vectors stay integer and primitive.
+    inserts one combination per adjacent (positive, negative) pair, in the
+    order of the positive ray and then the negative one.  All vectors stay
+    integer and primitive.
 
     Every intermediate cone is pointed (the first d+1 constraints are
-    nonsingular), so two extreme rays are adjacent exactly when no third
-    ray is tight on every constraint both are tight on (the combinatorial
-    test of Fukuda and Prodon, "Double description method revisited",
-    1996).  Adjacent rays span a 2-face of the cone in R^dim, dim = d+1,
-    whose tight constraints have rank dim - 2; a pair sharing fewer than
-    dim - 2 tight constraints is therefore skipped before the scan over
-    all rays.
+    nonsingular) and lives in R^dim, dim = d+1.  A ray's tight set T is
+    kept as a bitmask over constraint indexes and as the list of those
+    indexes; an extreme ray has rank(T) = dim - 1.
+    Each live ray holds a slot, and on[c] is the bitmask of live slots tight
+    on constraint c, so questions about rays are answered column-wise.
 
-    Tight sets are bitmasks over constraint indexes.  A new ray inherits
-    `common | bit(k)` from its parents without further dot products: it is
-    a positive combination of two rays on which every earlier constraint is
-    >= 0, so an earlier constraint vanishes on it iff it vanishes on both.
+    Adjacent rays span a 2-face, whose tight constraints have rank dim - 2,
+    so a positive ray p is a candidate partner of a negative ray m only
+    when it shares at least dim - 2 of T_m, i.e. misses at most
+    r = |T_m| - (dim - 2) of them; "misses at most j" accumulators over
+    on[c], c in T_m, find all such p at once.
+
+    - A simple m (|T_m| = dim - 1, r = 1) needs no further test.  T_m has
+      independent constraints, so p cannot be tight on all of them (it
+      would be a multiple of m); it shares T_m minus one constraint, and
+      those dim - 2 independent constraints cut out a 2-face, which as a
+      pointed 2-dimensional cone has exactly two extreme rays: m and p.
+    - A degenerate m keeps the combinatorial test of Fukuda and Prodon
+      ("Double description method revisited", 1996): p and m are adjacent
+      iff no third live ray is tight on every constraint both are tight
+      on, i.e. iff the AND of on[c] over their common set, started from
+      the live mask, has exactly two bits.
+
+    No combination is produced twice: it lies in the relative interior of
+    the 2-face its pair spans, and distinct 2-faces have disjoint relative
+    interiors.  A new ray's tight set is `common | bit(k)` with no further
+    dot products: it is a positive combination of two rays on which every
+    earlier constraint is >= 0, so an earlier constraint vanishes on it iff
+    it vanishes on both.  Slots of cut-off rays are cleared from every
+    on[c] and reused by the new rays.
     """
     dim = d + 1
     constraints: list[tuple[int, ...]] = [
@@ -113,55 +132,97 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     constraints += [tuple(p) + (1,) for p in points]
 
     p0 = points[0]
-    rays: list[tuple[int, ...]] = [
+    ray_at: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(d)) + (-p0[i],) for i in range(d)
     ]
-    rays.append((0,) * d + (1,))
-    tight = [
-        sum(1 << k for k in range(dim) if _dot(constraints[k], r) == 0) for r in rays
-    ]
+    ray_at.append((0,) * d + (1,))
+    # tight sets, as constraint bitmasks and as index lists
+    cols_at = [[k for k in range(dim) if _dot(constraints[k], r) == 0] for r in ray_at]
+    tight_at = [sum(1 << c for c in cols) for cols in cols_at]
+    order = list(range(dim))  # slots in ray order
+    on = [0] * len(constraints)
+    for s, cols in enumerate(cols_at):
+        for c in cols:
+            on[c] |= 1 << s
 
     for k in range(dim, len(constraints)):
         h = constraints[k]
         bit = 1 << k
-        vals = [_dot(h, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
+        val = [0] * len(ray_at)
+        pos = zero = dead = 0
+        neg = []
+        for s in order:
+            v = val[s] = sum(map(mul, h, ray_at[s]))
+            if v > 0:
+                pos |= 1 << s
+            elif v < 0:
+                neg.append(s)
+                dead |= 1 << s
+            else:
+                zero |= 1 << s
+                tight_at[s] |= bit
+                cols_at[s].append(k)
+        if not neg:
+            on[k] = zero
             continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_tight: list[int] = []
-        seen: set[tuple[int, ...]] = set()
-        for ip in pos:
-            tp = tight[ip]
-            for im in neg:
-                common = tp & tight[im]
-                if common.bit_count() < dim - 2:
-                    continue  # no shared 2-face
-                # the pair itself is counted; a third ray tight wherever
-                # both are means they are not adjacent
-                covering = 0
-                for t in tight:
-                    if t & common == common:
-                        covering += 1
-                        if covering > 2:
-                            break
-                if covering > 2:
-                    continue
-                combo = _primitive(
-                    tuple(
-                        vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])
-                    )
-                )
-                if combo not in seen:
-                    seen.add(combo)
-                    new_rays.append(combo)
-                    new_tight.append(common | bit)
-        kept = [i for i, v in enumerate(vals) if v >= 0]
-        rays = [rays[i] for i in kept] + new_rays
-        tight = [tight[i] | bit if vals[i] == 0 else tight[i] for i in kept] + new_tight
-    return rays
+        live = pos | zero | dead
+        rank = [0] * len(ray_at)
+        for i, s in enumerate(order):
+            rank[s] = i
+        found = []
+        for m in neg:
+            tm, cs = tight_at[m], cols_at[m]
+            r = len(cs) - (dim - 2)
+            if r == 1:  # simple m, the common case: the loop below unrolled
+                a0 = cand = pos
+                for c in cs:
+                    o = on[c]
+                    cand = (cand & o) | a0
+                    a0 &= o
+            else:
+                acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
+                for c in cs:
+                    o = on[c]
+                    for j in range(r, 0, -1):
+                        acc[j] = (acc[j] & o) | acc[j - 1]
+                    acc[0] &= o
+                cand = acc[r]
+            ray_m, vm = ray_at[m], val[m]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                p = low.bit_length() - 1
+                common = tight_at[p] & tm
+                if r > 1:
+                    cover = live
+                    for c in _bit_indexes(common):
+                        cover &= on[c]
+                    if cover.bit_count() != 2:
+                        continue
+                vp = val[p]
+                combo = [vp * b - vm * a for a, b in zip(ray_at[p], ray_m)]
+                g = gcd(*combo)
+                found.append((rank[p], rank[m], tuple(v // g for v in combo), common | bit))
+        found.sort()
+        keep = ~dead
+        on = [o & keep for o in on]
+        on[k] = zero
+        order = [s for s in order if val[s] >= 0]
+        free = sorted(neg, reverse=True)
+        for _, _, combo, t in found:
+            cols = _bit_indexes(t)
+            if free:
+                s = free.pop()
+                ray_at[s], tight_at[s], cols_at[s] = combo, t, cols
+            else:
+                s = len(ray_at)
+                ray_at.append(combo)
+                tight_at.append(t)
+                cols_at.append(cols)
+            order.append(s)
+            for c in cols:
+                on[c] |= 1 << s
+    return [ray_at[s] for s in order]
 
 
 @lru_cache(maxsize=None)
@@ -170,13 +231,10 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     if not I.is_proper_nonzero():
         raise InvalidInput("Newton polyhedron needs a proper nonzero ideal")
     d = I.ring.dimension
-    facets = []
-    for ray in _dual_extreme_rays(I.min_gens, d):
-        a, c = ray[:d], ray[d]
-        if not any(a):
-            continue
-        facets.append(FacetInequality(a, -c))
-    facets.sort(key=FacetInequality.sort_key)
+    raw = [(ray[:d], -ray[d]) for ray in _dual_extreme_rays(I.min_gens, d) if any(ray[:d])]
+    # facet order: support size, then normal, then offset
+    raw.sort(key=lambda f: (d - f[0].count(0), f[0], f[1]))
+    facets = [FacetInequality(a, b) for a, b in raw]
     return NewtonPolyhedron(I.ring, tuple(facets), I.min_gens)
 
 

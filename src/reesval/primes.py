@@ -21,6 +21,7 @@ from .core import (
     MonomialIdeal,
     RingContext,
     check_count,
+    check_indexes,
     colon,
     divides,
     normalize,
@@ -35,7 +36,7 @@ class MonomialPrime:
     vars: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idxs = tuple(check_count(v, "variable index", 0) for v in self.vars)
+        idxs = check_indexes(self.vars)
         object.__setattr__(self, "vars", idxs)
         if not idxs:
             raise InvalidInput("a monomial prime needs at least one variable")

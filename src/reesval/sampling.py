@@ -29,6 +29,8 @@ def sample_box(bounds: Sequence[int], cap: int, seed_key: str) -> list[tuple[int
     by a generator seeded from `seed_key` (stable across runs and machines).
     """
     check_count(cap, "cap", 0)
+    for b in bounds:
+        check_count(b, "bound", 0)
     vol = box_volume(bounds)
     if vol <= cap:
         return [_decode(i, bounds) for i in range(vol)]

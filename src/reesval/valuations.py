@@ -43,5 +43,7 @@ def center(v: FacetInequality) -> MonomialPrime:
 
 
 def b_star(I: MonomialIdeal) -> BStarSet:
-    """Deduplicated centers of the Rees valuations of I."""
-    return BStarSet(frozenset(center(v) for v in rees_valuations(I)))
+    """Deduplicated centers of the Rees valuations of I, one prime built
+    per distinct support."""
+    supports = {v.support() for v in rees_valuations(I)}
+    return BStarSet(frozenset(MonomialPrime(s) for s in supports))

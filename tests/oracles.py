@@ -7,7 +7,10 @@ generators by a box scan whose membership test is the raw-power route
 only, minimal generators by comparing every pair entry by entry, and
 irreducible components by one colon witness each.  The lattice walk here
 scans every coordinate, the last one included, and tests minimality on
-all of them; the library's walk solves the last coordinate instead.
+all of them; the library's walk solves the last coordinate instead.  The
+double description here pairs every positive ray with every negative one
+and tests adjacency by scanning all rays; the library's looks partners up
+in per-constraint bitmasks instead.
 """
 
 from __future__ import annotations
@@ -113,6 +116,63 @@ def facets_bruteforce(points: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...
             if all(sum(ai * pi for ai, pi in zip(a, p)) >= b for p in points):
                 facets.add((a, b))
     return facets
+
+
+def dual_extreme_rays_ref(points, d: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : g.y >= 0, g a homogenized generator}, in the
+    library's order, by double description with an all-pairs scan.
+
+    Constraints are the d unit rays at height 0, then the points at height
+    1; the first d + 1 form a triangular system whose simplicial cone is
+    written down.  For every further constraint, each (positive, negative)
+    pair sharing at least dim - 2 tight constraints (dim = d + 1) is
+    adjacent exactly when no third ray is tight on every constraint both
+    are tight on (Fukuda and Prodon, "Double description method
+    revisited", 1996); its combination joins the kept rays, in the order of
+    the positive ray and then the negative one.
+    """
+    dim = d + 1
+    constraints = [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
+    constraints += [tuple(p) + (1,) for p in points]
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    p0 = points[0]
+    rays = [tuple(1 if j == i else 0 for j in range(d)) + (-p0[i],) for i in range(d)]
+    rays.append((0,) * d + (1,))
+    tight = [sum(1 << k for k in range(dim) if dot(constraints[k], r) == 0) for r in rays]
+
+    for k in range(dim, len(constraints)):
+        h = constraints[k]
+        bit = 1 << k
+        vals = [dot(h, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays, new_tight = [], []
+        seen = set()
+        for ip in pos:
+            for im in neg:
+                common = tight[ip] & tight[im]
+                if common.bit_count() < dim - 2:
+                    continue  # no shared 2-face
+                # the pair itself is counted; a third ray tight wherever
+                # both are means they are not adjacent
+                if sum(1 for t in tight if t & common == common) > 2:
+                    continue
+                combo = [vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])]
+                g = 0
+                for v in combo:
+                    g = gcd(g, v)
+                combo = tuple(v // g for v in combo)
+                if combo not in seen:
+                    seen.add(combo)
+                    new_rays.append(combo)
+                    new_tight.append(common | bit)
+        kept = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in kept] + new_rays
+        tight = [tight[i] | bit if vals[i] == 0 else tight[i] for i in kept] + new_tight
+    return rays
 
 
 def minimal_generators_ref(gens) -> set[tuple[int, ...]]:

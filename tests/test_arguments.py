@@ -1,8 +1,10 @@
 """Every count and variable-index argument is checked one way.
 
 A count is a plain int at or above the entry point's least value; bool is
-an int subclass but no count.  Anything else raises InvalidInput naming
-the argument, never a TypeError, a silent coercion or a vacuous pass.
+an int subclass but no count.  Variable indexes come as a collection of
+such counts, never as a bare int.  Anything else raises InvalidInput
+naming the argument, never a TypeError, a silent coercion or a vacuous
+pass.
 """
 
 import pytest
@@ -54,6 +56,7 @@ ARGUMENTS = {
     "run_corpus.jobs": ("jobs", 1, lambda v: run_corpus(MISSING_CORPUS, jobs=v)),
     "associated_primes_bruteforce": ("box_bound", 1, lambda v: associated_primes_bruteforce(I, v)),
     "sample_box": ("cap", 0, lambda v: sample_box((3, 3), v, "k")),
+    "sample_box.bound": ("bound", 0, lambda v: sample_box((3, v), 5, "k")),
     "FacetInequality.offset": ("offset", 0, lambda v: FacetInequality((1, 1), v)),
     "MonomialPrime": ("variable index", 0, lambda v: MonomialPrime((v,))),
     "IrreducibleComponent.index": ("variable index", 0, lambda v: IrreducibleComponent(((v, 2),))),
@@ -68,3 +71,20 @@ def test_count_arguments_are_plain_ints_at_least_least(entry):
         with pytest.raises(InvalidInput, match=rf"^{name}\b"):
             call(bad)
     call(least)  # the bound is the intended one
+
+
+# entry point -> call taking a collection of variable indexes
+INDEX_COLLECTIONS = {
+    "saturate": lambda v: saturate(I, v),
+    "verify_localization": lambda v: verify_localization(I, v),
+    "MonomialPrime": lambda v: MonomialPrime(v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_COLLECTIONS))
+def test_index_collections_reject_a_bare_value(entry):
+    call = INDEX_COLLECTIONS[entry]
+    for bad in (1, True, 1.5, None):
+        with pytest.raises(InvalidInput, match=r"^variable indexes\b"):
+            call(bad)
+    call((1,))  # the collection it stands for is accepted

@@ -111,6 +111,18 @@ def test_verify_all_runs_both():
     assert payload["thm31"]["admissible"] is True
 
 
+def test_verify_all_without_s_vars_reports_thm31_skipped():
+    argv = ("verify", "all", "--ring", "Q[x,y]", "--ideal", "x^2,x*y")
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "thm31: SKIPPED (no --s-vars)"
+    code, out = run_cli(*argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"cor26", "thm31"}
+    assert payload["thm31"] is None
+
+
 def test_not_stabilized_exit_three():
     code, _ = run_cli(
         "astar", "--ring", "Q[x,y,z]", "--ideal", "x*y,y*z,z*x", "--cap", "1"

@@ -25,10 +25,11 @@ from reesval import (
     normalize,
     verify_localization,
 )
-from reesval.newton import _minimal_lattice_members
+from reesval.newton import _dual_extreme_rays, _minimal_lattice_members
 from oracles import (
     closure_by_power_oracle,
     colon_witness,
+    dual_extreme_rays_ref,
     facets_bruteforce,
     minimal_lattice_members_ref,
 )
@@ -118,6 +119,30 @@ def test_facets_of_full_degree_slices():
         got = {(f.normal, f.offset) for f in compute_np(ideal).facets}
         units = {(tuple(int(j == i) for j in range(d)), 0) for i in range(d)}
         assert got == units | {((1,) * d, k)}, (d, k)
+
+
+def test_dual_extreme_rays_match_reference(corpus_ideals):
+    # the library looks adjacent partners up in per-constraint bitmasks and
+    # skips the test for simple rays; the reference scans every pair and
+    # every ray.  Both return the same rays in the same order.
+    rng = random.Random(909)
+    cases = []
+    # near the input caps, like the queries benchmark
+    for _ in range(3):
+        gens = [tuple(rng.randint(0, 12) for _ in range(6)) for _ in range(rng.randint(20, 30))]
+        cases.append((normalize(gens, RingContext(NAMES)).min_gens, 6))
+    # degenerate: many generators on one face
+    for _, ideal in corpus_ideals:
+        if len(ideal.min_gens) <= 6:
+            for n in (2, 3):
+                cases.append((integral_closure_power(ideal, n).min_gens, ideal.ring.dimension))
+    for d, k in ((2, 4), (3, 3), (4, 2)):
+        cases.append((tuple(monomials_of_degree(d, k)), d))
+    # d = 1 (a repeated point makes a ray tight on two constraints) and d = 2
+    cases += [(((2,), (2,), (1,)), 1), (((3,), (1,), (2,)), 1)]
+    cases += [(((4, 0), (2, 1), (2, 1), (0, 4), (1, 3)), 2), (((3, 0), (1, 1), (0, 2)), 2)]
+    for points, d in cases:
+        assert _dual_extreme_rays(points, d) == dual_extreme_rays_ref(points, d), (points, d)
 
 
 def test_closure_matches_power_oracle_randomized():
