@@ -173,20 +173,13 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
         for m in neg:
             tm, cs = tight_at[m], cols_at[m]
             r = len(cs) - (dim - 2)
-            if r == 1:  # simple m, the common case: the loop below unrolled
-                a0 = cand = pos
-                for c in cs:
-                    o = on[c]
-                    cand = (cand & o) | a0
-                    a0 &= o
-            else:
-                acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
-                for c in cs:
-                    o = on[c]
-                    for j in range(r, 0, -1):
-                        acc[j] = (acc[j] & o) | acc[j - 1]
-                    acc[0] &= o
-                cand = acc[r]
+            acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
+            for c in cs:
+                o = on[c]
+                for j in range(r, 0, -1):
+                    acc[j] = (acc[j] & o) | acc[j - 1]
+                acc[0] &= o
+            cand = acc[r]
             ray_m, vm = ray_at[m], val[m]
             while cand:
                 low = cand & -cand

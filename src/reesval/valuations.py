@@ -45,5 +45,5 @@ def center(v: FacetInequality) -> MonomialPrime:
 def b_star(I: MonomialIdeal) -> BStarSet:
     """Deduplicated centers of the Rees valuations of I, one prime built
     per distinct support."""
-    supports = {v.support() for v in rees_valuations(I)}
-    return BStarSet(frozenset(MonomialPrime(s) for s in supports))
+    by_support = {v.support(): v for v in rees_valuations(I)}
+    return BStarSet(frozenset(center(v) for v in by_support.values()))
