@@ -305,43 +305,56 @@ def _power_search(J: MonomialIdeal):
     Returns member(m, t), true iff x^m is in J^t, for a nonzero J, an
     already validated m and an int t >= 0.  Each member call keeps its own
     memo, so no answer depends on the questions asked before it.
+
+    A node carries the remainder's degree down as an argument (taking c
+    copies of g lowers it by c * deg(g)) instead of summing the remainder,
+    and a zero multiplicity passes the remainder on unchanged.  Both bounds
+    and cmax are plain loops; the tree, its prunes and the memo key
+    (i, rem, k) are those described in `contains_in_power`.
     """
     gens = sorted(J.min_gens, key=lambda g: -sum(g))
     n_gens = len(gens)
-    min_deg_from = [sum(gens[-1])] * n_gens
+    degs = [sum(g) for g in gens]
+    min_deg_from = [degs[-1]] * n_gens
     min_exp_from = [gens[-1]] * n_gens
     for i in range(n_gens - 2, -1, -1):
-        min_deg_from[i] = min(sum(gens[i]), min_deg_from[i + 1])
+        min_deg_from[i] = min(degs[i], min_deg_from[i + 1])
         min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
 
     def member(m: tuple[int, ...], t: int) -> bool:
         memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
-        def search(i: int, rem: tuple[int, ...], k: int) -> bool:
+        def search(i: int, rem: tuple[int, ...], deg: int, k: int) -> bool:
             if k == 0:
                 return True
-            if i == n_gens or min_deg_from[i] * k > sum(rem):
+            if i == n_gens or min_deg_from[i] * k > deg:
                 return False
-            if any(k * e > r for e, r in zip(min_exp_from[i], rem)):
-                return False
+            for e, r in zip(min_exp_from[i], rem):
+                if k * e > r:
+                    return False
             key = (i, rem, k)
             cached = memo.get(key)
             if cached is not None:
                 return cached
             g = gens[i]
             cmax = k
-            for c_rem, c_g in zip(rem, g):
-                if c_g:
-                    cmax = min(cmax, c_rem // c_g)
+            for r, e in zip(rem, g):
+                if e:
+                    q = r // e
+                    if q < cmax:
+                        cmax = q
+            dg = degs[i]
             result = False
-            for c in range(cmax, -1, -1):
+            for c in range(cmax, 0, -1):
                 nxt = tuple(r - c * e for r, e in zip(rem, g))
-                if search(i + 1, nxt, k - c):
+                if search(i + 1, nxt, deg - c * dg, k - c):
                     result = True
                     break
+            else:
+                result = search(i + 1, rem, deg, k)
             memo[key] = result
             return result
 
-        return search(0, m, t)
+        return search(0, m, sum(m), t)
 
     return member

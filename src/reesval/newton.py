@@ -14,7 +14,7 @@ and the asymptotic order function min_a (a.m / a-offset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 from .core import (
     MonomialIdeal,
     RingContext,
+    _power_search,
     check_count,
     check_vector,
-    contains_in_power,
     ideal_power,
     ideal_product,
     normalize,
@@ -63,9 +63,23 @@ class FacetInequality:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """Facets and generator points of NP(I).
+
+    `rows` is derived from `facets`: the (normal, offset) pairs of the
+    positive-offset facets, in facet order.  These are the Rees valuations,
+    and the only facets that can fail at a lattice point m >= 0.
+    """
+
     ring: RingContext
     facets: tuple[FacetInequality, ...]
     points: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        rows = tuple((f.normal, f.offset) for f in self.facets if f.offset > 0)
+        object.__setattr__(self, "rows", rows)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -263,6 +277,18 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     return all(_dot(f.normal, point) * s_den >= rhs * f.offset for f in np_.facets)
 
 
+def dilation_cut(
+    rows: Iterable[tuple[Sequence[int], int]], m: Sequence[int], default: int
+) -> int:
+    """Largest n with the lattice point m >= 0 in n*NP: min over the
+    positive-offset rows (a, b) of (a.m) // b, or `default` when there is
+    no such row (then m lies in every dilation).
+
+    Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
+    for b > 0, so m is in n*NP exactly when n <= dilation_cut(...)."""
+    return min((sum(map(mul, a, m)) // b for a, b in rows), default=default)
+
+
 def _minimal_lattice_members(
     facets: Sequence[FacetInequality], bounds: Sequence[int], scale: int
 ) -> list[tuple[int, ...]]:
@@ -350,22 +376,22 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
-    """Asymptotic order of x^m along I: min over positive-offset facets of
-    (a.m)/b.  The zero vector gives 0; a proper nonzero ideal always has a
-    positive-offset facet (the origin lies outside the polyhedron), so the
-    minimum is never over an empty set.
+    """Asymptotic order of x^m along I: min over the positive-offset rows
+    (a, b) of NP(I) of (a.m)/b.  The zero vector gives 0; a proper nonzero
+    ideal always has a positive-offset facet (the origin lies outside the
+    polyhedron), so the minimum is never over an empty set.
 
-    The minimum is taken by integer cross-multiplication (offsets are
-    positive), and only the winner becomes a Fraction."""
+    The minimum is taken over `rows` by integer cross-multiplication
+    (offsets are positive), and only the winner becomes a Fraction.  Its
+    floor is `dilation_cut` on the same rows: the largest n with x^m in
+    closure(I^n)."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)
     num, den = 0, 0
-    for f in np_.facets:
-        b = f.offset
-        if b > 0:
-            v = f.evaluate(m)
-            if not den or v * den < num * b:
-                num, den = v, b
+    for a, b in np_.rows:
+        v = sum(map(mul, a, m))
+        if not den or v * den < num * b:
+            num, den = v, b
     if not den:
         raise RuntimeError("proper nonzero ideal has no positive-offset facet")
     return Fraction(num, den)
@@ -374,15 +400,21 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
 def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     """Largest t <= t_max with x^m in J^t; 0 when x^m is not even in J.
 
-    Each membership is the raw-power search of `contains_in_power`, so no
-    power of J is materialized.  Total on degenerate ideals: the unit ideal
-    gives t_max, the zero ideal gives 0.  Callers bound the search
-    themselves (membership is monotone decreasing in t, so the first
-    failure stops the scan).
+    Each membership is the raw-power search of `contains_in_power`, set up
+    once per call (`core._power_search`), so no power of J is
+    materialized.  Total on degenerate ideals: the unit ideal gives t_max,
+    the zero ideal gives 0.  Callers bound the search themselves
+    (membership is monotone decreasing in t, so the first failure stops
+    the scan).
     """
     m = check_vector(J.ring.dimension, m)
     check_count(t_max, "t_max", 1)
+    if J.is_zero():
+        return 0
+    if J.is_unit():
+        return t_max
+    member = _power_search(J)
     for t in range(1, t_max + 1):
-        if not contains_in_power(J, m, t):
+        if not member(m, t):
             return t - 1
     return t_max

@@ -24,7 +24,7 @@ from .core import (
     saturate,
 )
 from .errors import InvalidInput, NotStabilized
-from .newton import FacetInequality, compute_np, integral_closure_power, np_contains
+from .newton import FacetInequality, compute_np, dilation_cut, integral_closure_power
 from .primes import MonomialPrime, associated_primes
 from .valuations import BStarSet, b_star
 
@@ -132,6 +132,11 @@ def closure_oracle_discrepancies(
     I^{kn}.  Returns the disagreeing (m, n) pairs in the order of
     `monomials` and then `n_values`, empty when the routes agree everywhere.
 
+    The facet route is one integer per sample: m is in n*NP exactly when
+    n <= `dilation_cut`, the least (a.m) // b over the positive-offset rows
+    (a, b) of the polyhedron (offset-0 facets hold at every m >= 0).  With
+    no such row every sample is in every dilation.
+
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
     x^{km} outside I^{kn} for every k, so those dilations are settled
@@ -142,8 +147,10 @@ def closure_oracle_discrepancies(
     up a member exactly when some k <= k_max puts x^{km} in I^{kn}.  The
     facets are only hints for the weights, each checked against the
     generators: a wrong, missing or weakened facet can cost searches but
-    never change an answer of this route.  The search is set up once for I
-    (`core._power_search`), and each sample is validated once.
+    never change an answer of this route.  On honest facets the weight cut
+    equals the facet route's integer, so the dilations left to search are
+    exactly the facet members.  The search is set up once for I (`core._power_search`), and
+    each sample is validated once.
     """
     check_count(k_max, "k_max", 1)
     n_values = tuple(check_count(n, "n_values entry", 1) for n in n_values)
@@ -170,8 +177,9 @@ def closure_oracle_discrepancies(
                 members.add(n)
             if len(members) == len(open_n):
                 break
+        top = dilation_cut(np_.rows, m, dilations[-1])
         for n in n_values:
-            if np_contains(np_, m, n) != (n in members):
+            if (n <= top) != (n in members):
                 bad.append((m, n))
     return bad
 

@@ -10,7 +10,9 @@ scans every coordinate, the last one included, and tests minimality on
 all of them; the library's walk solves the last coordinate instead.  The
 double description here pairs every positive ray with every negative one
 and tests adjacency by scanning all rays; the library's looks partners up
-in per-constraint bitmasks instead.
+in per-constraint bitmasks instead.  The raw-power search tree here sums
+the remainder at every node and builds every child tuple; the library's
+carries the degree down and reuses the remainder for a zero multiplicity.
 """
 
 from __future__ import annotations
@@ -195,6 +197,40 @@ def monomial_in_power_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> bool:
         divides(tuple(sum(col) for col in zip(*pick)), m)
         for pick in combinations_with_replacement(J.min_gens, t)
     )
+
+
+def power_search_nodes_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> int:
+    """Number of nodes the raw-power search of `contains_in_power` visits
+    for x^m in J^t, memo hits included, written as plainly as its
+    description: generators by degree descending, each multiplicity from
+    its largest feasible value down, a node (i, rem, k) pruned when k picks
+    from gens[i:] overshoot the degree sum(rem) or some coordinate of rem,
+    and answers memoized on (i, rem, k)."""
+    gens = sorted(J.min_gens, key=lambda g: -sum(g))
+    memo = {}
+    nodes = 0
+
+    def search(i, rem, k):
+        nonlocal nodes
+        nodes += 1
+        if k == 0:
+            return True
+        rest = gens[i:]
+        if not rest or k * min(sum(g) for g in rest) > sum(rem):
+            return False
+        if any(k * min(g[j] for g in rest) > rem[j] for j in range(len(rem))):
+            return False
+        if (i, rem, k) not in memo:
+            g = gens[i]
+            cmax = min([k] + [r // e for r, e in zip(rem, g) if e])
+            memo[i, rem, k] = any(
+                search(i + 1, tuple(r - c * e for r, e in zip(rem, g)), k - c)
+                for c in range(cmax, -1, -1)
+            )
+        return memo[i, rem, k]
+
+    search(0, m, t)
+    return nodes
 
 
 def in_closure_by_powers(

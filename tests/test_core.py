@@ -2,6 +2,7 @@
 properties (normalization, membership, colon adjointness, saturation)."""
 
 import random
+import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -26,8 +27,14 @@ from reesval import (
     unit_ideal,
     zero_ideal,
 )
+from reesval import core
 from reesval.core import _power_search, monomial_key
-from oracles import minimal_generators_ref, monomial_in_power_ref, upset_in_box
+from oracles import (
+    minimal_generators_ref,
+    monomial_in_power_ref,
+    power_search_nodes_ref,
+    upset_in_box,
+)
 
 R1 = RingContext(("x",))
 R2 = RingContext(("x", "y"))
@@ -416,6 +423,49 @@ def test_power_search_answers_each_question_afresh():
                 expected = monomial_in_power_ref(J, m, t)
                 assert member(m, t) == expected, (J.min_gens, m, t)
                 assert contains_in_power(J, m, t) == expected, (J.min_gens, m, t)
+
+
+def count_search_nodes(member, m, t):
+    """Answer of member(m, t) and the number of search calls it made."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" and code.co_filename == core.__file__:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        answer = member(m, t)
+    finally:
+        sys.setprofile(None)
+    return answer, nodes
+
+
+def test_power_search_visits_the_described_tree():
+    # generators with zero entries make cmax skip coordinates and put
+    # c = 0 branches everywhere; the node count pins the degree carried
+    # down, which no answer shows, to the tree with sum(rem) at every node
+    rng = random.Random(1111)
+    for d in (2, 3, 4):
+        for _ in range(8):
+            gens = [
+                tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(d))
+                for _ in range(rng.randint(2, 5))
+            ]
+            J = normalize([g for g in gens if any(g)], RingContext(NAMES[:d]))
+            if not J.is_proper_nonzero():
+                continue
+            member = _power_search(J)
+            for _ in range(6):
+                t = rng.randint(0, 4)
+                # a sum of t generators, nudged: members and near misses
+                m = [sum(col) for col in zip(*rng.choices(J.min_gens, k=t))] or [0] * d
+                m = tuple(max(0, e + rng.randint(-2, 1)) for e in m)
+                answer, nodes = count_search_nodes(member, m, t)
+                assert answer == monomial_in_power_ref(J, m, t), (J.min_gens, m, t)
+                assert nodes == power_search_nodes_ref(J, m, t), (J.min_gens, m, t)
 
 
 def test_contains_in_power_rejects_negative_or_bool_power():

@@ -4,6 +4,7 @@ The facet set is checked against an independent subset-solving hull oracle
 and an incidence/rank audit; closures are recomputed through raw powers.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -26,11 +27,13 @@ from reesval import (
     integral_closure_power,
     normalize,
     np_contains,
+    rees_valuations,
     samuel_order,
     unit_ideal,
     vbar,
     zero_ideal,
 )
+from reesval.newton import dilation_cut
 from oracles import (
     closure_by_power_oracle,
     facets_bruteforce,
@@ -166,6 +169,59 @@ def test_np_contains_matches_fraction_definition(q, scale):
         for f in np_.facets
     )
     assert np_contains(np_, q, scale) == expected
+
+
+# --- facet rows and the per-sample cut ------------------------------------------
+
+def random_ideal(rng, d):
+    while True:
+        gens = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        I = normalize([g for g in gens if any(g)], RingContext(("x", "y", "z", "w", "u")[:d]))
+        if I.is_proper_nonzero():
+            return I
+
+
+def test_dilation_cut_matches_np_contains():
+    # m in n*NP iff n <= cut, and the cut is the integer floor(vbar(m))
+    rng = random.Random(1107)
+    for d in (2, 3, 4, 5):
+        for _ in range(4):
+            I = random_ideal(rng, d)
+            np_ = compute_np(I)
+            box = tuple(3 * e for e in I.max_exponents())
+            for _ in range(15):
+                m = tuple(rng.randint(0, b) for b in box)
+                cut = dilation_cut(np_.rows, m, 4)
+                assert type(cut) is int and cut == math.floor(vbar(I, m)), (I.min_gens, m)
+                for n in range(1, 5):
+                    assert (n <= cut) == np_contains(np_, m, n), (I.min_gens, m, n)
+
+
+def test_dilation_cut_without_positive_offset_row():
+    # dropping the only positive-offset facet leaves every lattice point in
+    # every dilation; the cut is then the default
+    np_ = NewtonPolyhedron(R2, (FacetInequality((0, 1), 0),), ((1, 0),))
+    assert np_.rows == ()
+    for m in product(range(3), repeat=2):
+        assert dilation_cut(np_.rows, m, 4) == 4
+        for n in range(1, 5):
+            assert np_contains(np_, m, n)
+
+
+def test_rows_follow_the_facets_given():
+    I = ideal2((4, 0), (2, 1), (0, 3))
+    honest = compute_np(I)
+    assert honest.rows == tuple((v.normal, v.offset) for v in rees_valuations(I))
+    facets = (
+        FacetInequality((1, 2), 5),
+        FacetInequality((1, 0), 0),
+        FacetInequality((3, 1), 7),
+        FacetInequality((0, 1), 0),
+    )
+    np_ = NewtonPolyhedron(R2, facets, ((5, 0), (1, 2)))
+    assert np_.rows == (((1, 2), 5), ((3, 1), 7))
+    # derived, so it takes no part in equality
+    assert np_ == NewtonPolyhedron(R2, facets, ((5, 0), (1, 2)))
 
 
 # --- integral closure -----------------------------------------------------------

@@ -182,15 +182,22 @@ def test_closure_oracle_matches_literal_definition():
 
 
 def test_closure_oracle_reports_planted_flip(monkeypatch):
+    # the facet route is one cut per sample, m in n*NP iff n <= cut; the
+    # only facet is 3x + 2y >= 6, so (1, 2) has cut 7 // 6 = 1, and a cut
+    # of 2 flips its answer at n = 2 alone
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
-    honest = reesval.verify.np_contains
+    honest = reesval.verify.dilation_cut
 
-    def flipped(np_, m, n):
-        return honest(np_, m, n) != (tuple(m) == (1, 2) and n == 2)
+    def flipped(rows, m, default):
+        cut = honest(rows, m, default)
+        if tuple(m) == (1, 2):
+            assert cut == 1
+            return 2
+        return cut
 
-    monkeypatch.setattr(reesval.verify, "np_contains", flipped)
+    monkeypatch.setattr(reesval.verify, "dilation_cut", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
 
 
