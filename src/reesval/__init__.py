@@ -10,15 +10,12 @@ from .core import (
     MonomialIdeal,
     RingContext,
     colon,
-    contains_ideal,
     contains_in_power,
     contains_monomial,
     divides,
     equals,
-    ideal_intersection,
     ideal_power,
     ideal_product,
-    ideal_sum,
     normalize,
     saturate,
     unit_ideal,

@@ -26,8 +26,6 @@ from .errors import InvalidInput
 MAX_DIMENSION = 6
 MAX_INPUT_EXPONENT = 12
 
-ExponentVector = tuple  # tuple[int, ...] of length ring.dimension
-
 
 @dataclass(frozen=True)
 class RingContext:
@@ -206,21 +204,10 @@ def contains_monomial(J: MonomialIdeal, m: Iterable[int]) -> bool:
     return any(divides(g, m) for g in J.min_gens)
 
 
-def contains_ideal(J: MonomialIdeal, K: MonomialIdeal) -> bool:
-    """J contains K, i.e. every generator of K is a member of J."""
-    _same_ring(J, K)
-    return all(contains_monomial(J, g) for g in K.min_gens)
-
-
 def equals(J: MonomialIdeal, K: MonomialIdeal) -> bool:
     """Set equality of canonical generators (same ring required)."""
     _same_ring(J, K)
     return J.min_gens == K.min_gens
-
-
-def ideal_sum(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
-    _same_ring(J, K)
-    return normalize(J.min_gens + K.min_gens, J.ring)
 
 
 def ideal_product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
@@ -239,15 +226,6 @@ def ideal_power(J: MonomialIdeal, n: int) -> MonomialIdeal:
     for _ in range(n - 1):
         power = ideal_product(power, J)
     return power
-
-
-def ideal_intersection(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise componentwise max (lcm) of generators."""
-    _same_ring(J, K)
-    return normalize(
-        (tuple(max(a, b) for a, b in zip(g, h)) for g in J.min_gens for h in K.min_gens),
-        J.ring,
-    )
 
 
 def colon(J: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:

@@ -7,9 +7,10 @@ the dual cone by incremental double description over the integers.  A dual
 ray (a, c) with a != 0 is the facet a.x >= -c of the polyhedron; the ray
 with a = 0 is the homogenization artifact "height >= 0" and is dropped.
 
-Downstream of the facets: membership of rational points in any dilation,
-integral closures of powers (all lattice points of the n-fold dilation),
-and the asymptotic order function min_a (a.m / a-offset).
+Downstream, everything reads the positive-offset rows (a, b) alone:
+membership of rational points in any dilation, integral closures of powers
+(all lattice points of the n-fold dilation), and the asymptotic order
+function min (a.m / b).
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ from .errors import InvalidInput
 
 @dataclass(frozen=True)
 class FacetInequality:
-    """Half-space a.x >= b with a primitive non-negative integer normal."""
+    """Half-space a.x >= b with a primitive non-negative integer normal.
+
+    The output form of a facet and of a Rees valuation (`np`, `rees`,
+    `rees_valuations`); computations read `NewtonPolyhedron.rows`."""
 
     normal: tuple[int, ...]
     offset: int
@@ -50,29 +54,26 @@ class FacetInequality:
 
     @property
     def ideal_value(self) -> int:
-        """The offset, read as the value of the facet's Rees valuation on
-        the ideal (for a positive-offset facet)."""
+        """Alias of `offset`, kept only because the benchmark's digests read
+        it; new code reads `offset`."""
         return self.offset
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.normal) if a)
 
-    def evaluate(self, m: Sequence[int]) -> int:
-        return sum(map(mul, self.normal, m))
-
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Facets and generator points of NP(I).
+    """Facets of NP(I), and the rows that every computation reads.
 
     `rows` is derived from `facets`: the (normal, offset) pairs of the
     positive-offset facets, in facet order.  These are the Rees valuations,
-    and the only facets that can fail at a lattice point m >= 0.
+    and the only facets that can fail at a point x >= 0, since an offset-0
+    facet a.x >= 0 has a >= 0.
     """
 
     ring: RingContext
     facets: tuple[FacetInequality, ...]
-    points: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[tuple[int, ...], int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -232,17 +233,17 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     return [ray_at[s] for s in order]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
-    """Irredundant facet description of conv(exponents of I) + orthant."""
+    """Irredundant facet description of conv(exponents of I) + orthant.
+    Only the last one is kept: callers ask about one ideal at a time."""
     if not I.is_proper_nonzero():
         raise InvalidInput("Newton polyhedron needs a proper nonzero ideal")
     d = I.ring.dimension
     raw = [(ray[:d], -ray[d]) for ray in _dual_extreme_rays(I.min_gens, d) if any(ray[:d])]
     # facet order: support size, then normal, then offset
     raw.sort(key=lambda f: (d - f[0].count(0), f[0], f[1]))
-    facets = [FacetInequality(a, b) for a, b in raw]
-    return NewtonPolyhedron(I.ring, tuple(facets), I.min_gens)
+    return NewtonPolyhedron(I.ring, tuple(FacetInequality(a, b) for a, b in raw))
 
 
 def _exact(c) -> bool:
@@ -255,7 +256,8 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     Denominators are cleared once: with D the lcm of the coordinate
     denominators, P = D*q is an integer vector and s = s_num/s_den, so
     a.q >= s*b becomes the integer comparison (a.P) * s_den >= s_num * D * b
-    for every facet a.x >= b.
+    for every row (a, b).  Offset-0 facets are not read: a >= 0 and q >= 0
+    give a.q >= 0 = s*0, so they hold for every point and scale.
     """
     coords = tuple(q)
     if len(coords) != np_.ring.dimension:
@@ -274,7 +276,7 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
         raise InvalidInput("scale must be non-negative")
     s_den = scale.denominator
     rhs = scale.numerator * den
-    return all(_dot(f.normal, point) * s_den >= rhs * f.offset for f in np_.facets)
+    return all(_dot(a, point) * s_den >= rhs * b for a, b in np_.rows)
 
 
 def dilation_cut(
@@ -290,25 +292,31 @@ def dilation_cut(
 
 
 def _minimal_lattice_members(
-    facets: Sequence[FacetInequality], bounds: Sequence[int], scale: int
+    rows: Sequence[tuple[Sequence[int], int]], bounds: Sequence[int], scale: int
 ) -> list[tuple[int, ...]]:
-    """Minimal lattice points of scale*NP inside the box prod [0, bounds[i]].
+    """Minimal lattice points of scale*NP inside the box prod [0, bounds[i]],
+    for NP given by its positive-offset rows (a, b).
+
+    Offset-0 facets are inert here, so leaving them out changes nothing:
+    with a >= 0 and q >= 0, both a.q >= 0 and, when q_j >= 1,
+    a.(q - e_j) >= 0 hold, so such a facet never prunes a prefix, never
+    sets the last coordinate and never decides minimality.
 
     Depth-first over the first d - 1 coordinates with two prunings: abandon
-    a prefix when even the box-completion misses some facet, and stop
+    a prefix when even the box-completion misses some row, and stop
     descending once the zero-completion is already a member (everything
     below the prefix then dominates it, so the zero-completion is the only
     minimal candidate).  The last coordinate is solved, not scanned: a
-    facet with a_d = 0 that the prefix misses rules the prefix out, and
+    row with a_d = 0 that the prefix misses rules the prefix out, and
     otherwise the least feasible q_d is the largest ceil(shortfall / a_d)
-    over the facets with a_d > 0.  Then q - e_d misses a facet, so only the
+    over the rows with a_d > 0.  Then q - e_d misses a row, so only the
     prefix coordinates need the minimality test (see the README).
     """
     d = len(bounds)
-    normals = [f.normal for f in facets]
-    targets = [scale * f.offset for f in facets]
-    nf = len(facets)
-    # suffix_max[f][i] = max contribution of coordinates i.. to facet f
+    normals = [a for a, _ in rows]
+    targets = [scale * b for _, b in rows]
+    nf = len(rows)
+    # suffix_max[f][i] = max contribution of coordinates i.. to row f
     suffix_max = [
         [sum(normals[f][j] * bounds[j] for j in range(i, d)) for i in range(d + 1)]
         for f in range(nf)
@@ -372,7 +380,7 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         return ideal_product(ideal_power(I, n - s), integral_closure_power(I, s))
     np_ = compute_np(I)
     bounds = tuple(n * m for m in I.max_exponents())
-    return normalize(_minimal_lattice_members(np_.facets, bounds, n), I.ring)
+    return normalize(_minimal_lattice_members(np_.rows, bounds, n), I.ring)
 
 
 def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:

@@ -2,15 +2,15 @@
 
 Each positive-offset facet (a, b) of the Newton polyhedron is one valuation
 and is represented by its `FacetInequality`: it sends x^m to a.m, takes the
-value b (`offset`, also readable as `ideal_value`) on the ideal itself, and
-its center is the prime generated by the variables in the support of a
-(exactly the monomials of strictly positive value).  The set of centers is
-B*(I).
+value b (`offset`) on the ideal itself, and its center is the prime
+generated by the variables in the support of a (exactly the monomials of
+strictly positive value).  The set of centers is B*(I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .core import MonomialIdeal, check_vector
@@ -34,7 +34,7 @@ def rees_valuations(I: MonomialIdeal) -> tuple[FacetInequality, ...]:
 
 def value(v: FacetInequality, m: Iterable[int]) -> int:
     """The valuation applied to x^m (a dot product)."""
-    return v.evaluate(check_vector(len(v.normal), m))
+    return sum(map(mul, v.normal, check_vector(len(v.normal), m)))
 
 
 def center(v: FacetInequality) -> MonomialPrime:

@@ -149,8 +149,8 @@ def closure_oracle_discrepancies(
     generators: a wrong, missing or weakened facet can cost searches but
     never change an answer of this route.  On honest facets the weight cut
     equals the facet route's integer, so the dilations left to search are
-    exactly the facet members.  The search is set up once for I (`core._power_search`), and
-    each sample is validated once.
+    exactly the facet members.  The search is set up once for I
+    (`core._power_search`), and each sample is validated once.
     """
     check_count(k_max, "k_max", 1)
     n_values = tuple(check_count(n, "n_values entry", 1) for n in n_values)

@@ -6,13 +6,17 @@ power membership by literal enumeration of generator multisets, closure
 generators by a box scan whose membership test is the raw-power route
 only, minimal generators by comparing every pair entry by entry, and
 irreducible components by one colon witness each.  The lattice walk here
-scans every coordinate, the last one included, and tests minimality on
-all of them; the library's walk solves the last coordinate instead.  The
+reads every facet, scans every coordinate, the last one included, and
+tests minimality on all of them; the library's walk reads only the
+positive-offset rows and solves the last coordinate instead.  The
 double description here pairs every positive ray with every negative one
 and tests adjacency by scanning all rays; the library's looks partners up
 in per-constraint bitmasks instead.  The raw-power search tree here sums
 the remainder at every node and builds every child tuple; the library's
 carries the degree down and reuses the remainder for a zero multiplicity.
+
+The ideal sum, intersection and containment at the end are helpers that
+only the tests use; they build on the library's `normalize`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from reesval import MonomialIdeal, contains_in_power, divides
+from reesval import (
+    MonomialIdeal,
+    contains_in_power,
+    contains_monomial,
+    divides,
+    normalize,
+)
+from reesval.core import _same_ring
 
 
 def rational_rank(rows) -> int:
@@ -333,3 +344,23 @@ def colon_witness(J: MonomialIdeal, bounds) -> tuple[int, ...]:
     for v, e in bounds:
         w[v] = e - 1
     return tuple(w)
+
+
+def ideal_sum(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
+    _same_ring(J, K)
+    return normalize(J.min_gens + K.min_gens, J.ring)
+
+
+def ideal_intersection(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
+    """Intersection via pairwise componentwise max (lcm) of generators."""
+    _same_ring(J, K)
+    return normalize(
+        (tuple(max(a, b) for a, b in zip(g, h)) for g in J.min_gens for h in K.min_gens),
+        J.ring,
+    )
+
+
+def contains_ideal(J: MonomialIdeal, K: MonomialIdeal) -> bool:
+    """J contains K, i.e. every generator of K is a member of J."""
+    _same_ring(J, K)
+    return all(contains_monomial(J, g) for g in K.min_gens)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reesval import InvalidInput, MonomialPrime, RingContext, normalize
+from reesval import InvalidInput, MonomialPrime, RingContext, compute_np, normalize
 from reesval.cli import _load_corpus_entry, main, run_corpus
 from conftest import CORPUS_PATH
 
@@ -402,3 +402,10 @@ def test_run_corpus_function_buffer(tmp_path):
     buf = io.StringIO()
     assert run_corpus(path, out=buf) == 0
     assert json.loads(buf.getvalue().splitlines()[0])["id"] == "e1"
+
+
+def test_corpus_run_keeps_one_polyhedron():
+    # the Newton polyhedron memo is bounded: a whole corpus run leaves at
+    # most the last entry's polyhedron behind, not one per entry
+    assert run_corpus(str(CORPUS_PATH), out=io.StringIO()) == 0
+    assert compute_np.cache_info().currsize <= 1

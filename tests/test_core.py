@@ -18,10 +18,8 @@ from reesval import (
     contains_monomial,
     divides,
     equals,
-    ideal_intersection,
     ideal_power,
     ideal_product,
-    ideal_sum,
     normalize,
     saturate,
     unit_ideal,
@@ -30,6 +28,8 @@ from reesval import (
 from reesval import core
 from reesval.core import _power_search, monomial_key
 from oracles import (
+    ideal_intersection,
+    ideal_sum,
     minimal_generators_ref,
     monomial_in_power_ref,
     power_search_nodes_ref,

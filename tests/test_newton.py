@@ -21,7 +21,6 @@ from reesval import (
     RingContext,
     compute_np,
     contains_monomial,
-    contains_ideal,
     equals,
     ideal_power,
     integral_closure_power,
@@ -36,6 +35,7 @@ from reesval import (
 from reesval.newton import dilation_cut
 from oracles import (
     closure_by_power_oracle,
+    contains_ideal,
     facets_bruteforce,
     monomial_in_power_ref,
     rational_rank,
@@ -113,7 +113,7 @@ def test_facet_incidence_rank(corpus_ideals):
         d = ideal.ring.dimension
         np_ = compute_np(ideal)
         for facet in np_.facets:
-            values = [facet.evaluate(p) for p in ideal.min_gens]
+            values = [sum(a * e for a, e in zip(facet.normal, p)) for p in ideal.min_gens]
             assert all(v >= facet.offset for v in values), entry["id"]
             tight = [
                 tuple(p) + (1,)
@@ -198,14 +198,18 @@ def test_dilation_cut_matches_np_contains():
 
 
 def test_dilation_cut_without_positive_offset_row():
-    # dropping the only positive-offset facet leaves every lattice point in
-    # every dilation; the cut is then the default
-    np_ = NewtonPolyhedron(R2, (FacetInequality((0, 1), 0),), ((1, 0),))
+    # dropping the only positive-offset facet leaves every point in every
+    # dilation; the cut is then the default, and membership holds for int
+    # and Fraction points and scales alike
+    np_ = NewtonPolyhedron(R2, (FacetInequality((0, 1), 0),))
     assert np_.rows == ()
     for m in product(range(3), repeat=2):
         assert dilation_cut(np_.rows, m, 4) == 4
         for n in range(1, 5):
             assert np_contains(np_, m, n)
+    for q in product((0, Fraction(1, 3), 2, Fraction(7, 2)), repeat=2):
+        for scale in (0, 1, Fraction(1, 2), 3, Fraction(9, 4)):
+            assert np_contains(np_, q, scale), (q, scale)
 
 
 def test_rows_follow_the_facets_given():
@@ -218,10 +222,10 @@ def test_rows_follow_the_facets_given():
         FacetInequality((3, 1), 7),
         FacetInequality((0, 1), 0),
     )
-    np_ = NewtonPolyhedron(R2, facets, ((5, 0), (1, 2)))
+    np_ = NewtonPolyhedron(R2, facets)
     assert np_.rows == (((1, 2), 5), ((3, 1), 7))
     # derived, so it takes no part in equality
-    assert np_ == NewtonPolyhedron(R2, facets, ((5, 0), (1, 2)))
+    assert np_ == NewtonPolyhedron(R2, facets)
 
 
 # --- integral closure -----------------------------------------------------------
@@ -322,13 +326,17 @@ def test_vbar_is_min_of_facet_ratios(case):
     I = normalize(gens, RingContext(("x", "y", "z", "w")[: len(gens[0])]))
     facets = compute_np(I).facets
     for m in ms:
-        expected = min(Fraction(f.evaluate(m), f.offset) for f in facets if f.offset > 0)
+        expected = min(
+            Fraction(sum(a * e for a, e in zip(f.normal, m)), f.offset)
+            for f in facets
+            if f.offset > 0
+        )
         assert vbar(I, m) == expected, (gens, m)
 
 
 def test_vbar_without_positive_offset_facet_raises(monkeypatch):
     I = ideal2((1, 0))
-    only_orthant = NewtonPolyhedron(I.ring, (FacetInequality((0, 1), 0),), I.min_gens)
+    only_orthant = NewtonPolyhedron(I.ring, (FacetInequality((0, 1), 0),))
     monkeypatch.setattr(reesval.newton, "compute_np", lambda _: only_orthant)
     with pytest.raises(RuntimeError):
         vbar(I, (1, 1))

@@ -11,9 +11,7 @@ from reesval import (
     associated_primes,
     associated_primes_bruteforce,
     colon,
-    contains_ideal,
     equals,
-    ideal_intersection,
     integral_closure_power,
     irreducible_decomposition,
     minimal_primes,
@@ -21,7 +19,7 @@ from reesval import (
     unit_ideal,
     zero_ideal,
 )
-from oracles import colon_witness
+from oracles import colon_witness, contains_ideal, ideal_intersection
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))

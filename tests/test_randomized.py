@@ -16,7 +16,6 @@ from reesval import (
     b_star,
     colon,
     compute_np,
-    ideal_intersection,
     ideal_power,
     ideal_product,
     integral_closure_power,
@@ -31,6 +30,7 @@ from oracles import (
     colon_witness,
     dual_extreme_rays_ref,
     facets_bruteforce,
+    ideal_intersection,
     minimal_lattice_members_ref,
 )
 
@@ -161,8 +161,9 @@ def closure_by_walk(ideal, n):
 
 
 def test_lattice_walk_matches_reference():
-    # the library walk solves the last coordinate in closed form; the
-    # reference scans it.  Both return the same points in the same order,
+    # the library walk solves the last coordinate in closed form and reads
+    # only the positive-offset rows; the reference scans the last coordinate
+    # and reads every facet.  Both return the same points in the same order,
     # on the full box and on boxes cut below it.
     rng = random.Random(808)
     cases = [
@@ -193,9 +194,9 @@ def test_lattice_walk_matches_reference():
                 cases.append((ideal, n, tuple(max(0, b - rng.randint(1, 3)) for b in full)))
     for ideal, n, bounds in cases:
         bounds = bounds or tuple(n * e for e in ideal.max_exponents())
-        facets = compute_np(ideal).facets
-        assert _minimal_lattice_members(facets, bounds, n) == \
-            minimal_lattice_members_ref(facets, bounds, n), (ideal.min_gens, n, bounds)
+        np_ = compute_np(ideal)
+        assert _minimal_lattice_members(np_.rows, bounds, n) == \
+            minimal_lattice_members_ref(np_.facets, bounds, n), (ideal.min_gens, n, bounds)
 
 
 def test_closure_product_route_matches_walk():

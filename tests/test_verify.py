@@ -269,7 +269,7 @@ def test_closure_oracle_answers_by_definition_on_corrupted_facets(monkeypatch):
                 facets[:i] + (raised,) + facets[i + 1 :],
                 facets[:i] + facets[i + 1 :],
             ):
-                np_ = NewtonPolyhedron(I.ring, corrupted, honest.points)
+                np_ = NewtonPolyhedron(I.ring, corrupted)
                 monkeypatch.setattr(reesval.verify, "compute_np", lambda _, p=np_: p)
                 expected = [
                     (m, n)
@@ -288,7 +288,7 @@ def test_closure_oracle_drops_weights_with_negative_entries(monkeypatch):
     I = ideal_in(R2, (2, 0), (1, 1))
     honest = compute_np(I)
     bogus = SimpleNamespace(normal=(2, -1), offset=1)
-    np_ = NewtonPolyhedron(I.ring, honest.facets + (bogus,), honest.points)
+    np_ = NewtonPolyhedron(I.ring, honest.facets + (bogus,))
     monkeypatch.setattr(reesval.verify, "compute_np", lambda _: np_)
     assert closure_oracle_discrepancies(I, [(1, 3), (2, 0)], (1,)) == [((1, 3), 1)]
 
