@@ -366,7 +366,8 @@ def run_corpus(
         corpus_entry_report, seed=seed, n_cap=n_cap, timings=timings
     )
     if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             reports = list(pool.map(worker, entries))
     else:
         reports = [worker(entry) for entry in entries]

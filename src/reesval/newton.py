@@ -302,15 +302,19 @@ def _minimal_lattice_members(
     a.(q - e_j) >= 0 hold, so such a facet never prunes a prefix, never
     sets the last coordinate and never decides minimality.
 
-    Depth-first over the first d - 1 coordinates with two prunings: abandon
-    a prefix when even the box-completion misses some row, and stop
-    descending once the zero-completion is already a member (everything
-    below the prefix then dominates it, so the zero-completion is the only
-    minimal candidate).  The last coordinate is solved, not scanned: a
-    row with a_d = 0 that the prefix misses rules the prefix out, and
-    otherwise the least feasible q_d is the largest ceil(shortfall / a_d)
-    over the rows with a_d > 0.  Then q - e_d misses a row, so only the
-    prefix coordinates need the minimality test (see the README).
+    Depth-first over the first d - 2 coordinates with two prunings:
+    abandon a prefix when even the box-completion misses some row, and
+    stop raising a coordinate once the zero-completion is a member (every
+    later point dominates it, so the zero-completion is the only minimal
+    candidate).  The last coordinate is solved, not scanned: a row with
+    a_d = 0 that the point misses rules it out, and otherwise the least
+    feasible q_d is the largest ceil(shortfall / a_d) over the rows with
+    a_d > 0 (infinite when it does not fit the box).  Coordinate d - 1 is
+    a staircase: w*(v), the least q_d at q_{d-1} = v, does not increase
+    with v, and (prefix, v, w*(v)) is minimal in coordinates d - 1 and d
+    exactly when w*(v) < w*(v - 1) (w*(-1) counted infinite), so only
+    those corners are tested, on the prefix coordinates alone, and the
+    staircase ends at the first v with w*(v) = 0 (see the README).
     """
     d = len(bounds)
     normals = [a for a, _ in rows]
@@ -324,38 +328,57 @@ def _minimal_lattice_members(
     last = [normals[f][d - 1] for f in range(nf)]
     out: list[tuple[int, ...]] = []
 
-    def is_minimal(q: tuple[int, ...], dots: list[int], upto: int) -> bool:
-        for j in range(upto):
+    def least_last(dots: list[int]):
+        """w*: the least feasible last coordinate, None when none fits."""
+        w = 0
+        for f in range(nf):
+            short = targets[f] - dots[f]
+            if short > 0:
+                if not last[f]:
+                    return None
+                w = max(w, -(-short // last[f]))
+        return w if w <= bounds[d - 1] else None
+
+    def is_minimal(q: tuple[int, ...], dots: list[int]) -> bool:
+        for j in range(d - 2):
             if q[j] and all(dots[f] - normals[f][j] >= targets[f] for f in range(nf)):
                 return False
         return True
 
-    def walk(i: int, prefix: tuple[int, ...], dots: list[int]) -> None:
+    def walk(i: int, prefix: tuple[int, ...], dots: list[int]) -> bool:
+        """Append the minimal members that extend prefix = q[:i], i <= d - 2.
+        True when the zero-completion is a member: then raising q[i - 1]
+        further gives only points that dominate it."""
         if all(dots[f] >= targets[f] for f in range(nf)):
             q = prefix + (0,) * (d - i)
-            if is_minimal(q, dots, i):
+            if is_minimal(q, dots):
                 out.append(q)
-            return
-        if i == d - 1:
-            v = 0
-            for f in range(nf):
-                short = targets[f] - dots[f]
-                if short > 0:
-                    if not last[f]:
-                        return
-                    v = max(v, -(-short // last[f]))
-            if v > bounds[i]:
-                return
-            dots = [dots[f] + v * last[f] for f in range(nf)]
-            if is_minimal(prefix + (v,), dots, i):
-                out.append(prefix + (v,))
-            return
+            return True
         if any(dots[f] + suffix_max[f][i] < targets[f] for f in range(nf)):
-            return
+            return False
         col = [normals[f][i] for f in range(nf)]
+        if i < d - 2:
+            for v in range(bounds[i] + 1):
+                if walk(i + 1, prefix + (v,), [dots[f] + v * col[f] for f in range(nf)]):
+                    break
+            return False
+        prev = None  # w*(v - 1); None is infinite
         for v in range(bounds[i] + 1):
-            walk(i + 1, prefix + (v,), [dots[f] + v * col[f] for f in range(nf)])
+            at_v = [dots[f] + v * col[f] for f in range(nf)]
+            w = least_last(at_v)
+            if w is None or w == prev:
+                continue
+            prev = w
+            q = prefix + (v, w)
+            if is_minimal(q, [at_v[f] + w * last[f] for f in range(nf)]):
+                out.append(q)
+            if not w:
+                break
+        return False
 
+    if d == 1:
+        w = least_last([0] * nf)
+        return [] if w is None else [(w,)]
     walk(0, (), [0] * nf)
     return out
 

@@ -67,13 +67,19 @@ class _Scanner:
         return self.text[start : self.pos], start + 1
 
     def uint(self) -> tuple[int, int]:
+        # ASCII digits only: str.isdigit() also takes '²', which int()
+        # rejects, and '２', which int() reads as 2
         self.skip_ws()
         start = self.pos
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":
             raise IdealSyntaxError("expected an unsigned integer", self.column())
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
-        return int(self.text[start : self.pos]), start + 1
+        # int() refuses a string of more than 4300 digits with ValueError
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        if len(digits) > 4300:
+            raise IdealSyntaxError("integer has more than 4300 digits", start + 1)
+        return int(digits), start + 1
 
 
 def parse_ring(text: str) -> RingContext:

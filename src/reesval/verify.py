@@ -140,11 +140,23 @@ def closure_oracle_discrepancies(
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
     x^{km} outside I^{kn} for every k, so those dilations are settled
-    without a search.  For each k the route tries the other dilations in
-    ascending order, skips those already known to be members, and stops at
-    the first failure: x^{km} outside I^{kn} is also outside I^{kn''} for
-    every n'' > n, since I^{kn''} is inside I^{kn}.  So each n still ends
-    up a member exactly when some k <= k_max puts x^{km} in I^{kn}.  The
+    without a search.  The other (open) dilations are settled by a k
+    ladder run from k_max down, on three monotone facts:
+
+    - success at (k, n) gives success at (jk, n) for every j (raise the
+      witness to the j-th power), so the top rung succeeds whenever the
+      least working k divides k_max;
+    - success at (k, n) gives success at every n' <= n (I^{kn} is inside
+      I^{kn'});
+    - so failure at (k', n') gives failure at (k, n) whenever k divides k'
+      and n >= n', and such a (k, n) is skipped.
+
+    At each k the route asks the largest open dilation that no recorded
+    failure rules out; a success makes it and every dilation below it a
+    member, a failure is recorded and the next lower one is asked.  The
+    ladder stops once every open dilation is a member.  So each n still
+    ends up a member exactly when some k <= k_max puts x^{km} in I^{kn},
+    and no question is asked whose answer the earlier ones imply.  The
     facets are only hints for the weights, each checked against the
     generators: a wrong, missing or weakened facet can cost searches but
     never change an answer of this route.  On honest facets the weight cut
@@ -166,20 +178,25 @@ def closure_oracle_discrepancies(
         # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
         cut = min((sum(map(mul, w, m)) // b for w, b in weights), default=dilations[-1])
         open_n = [n for n in dilations if n <= cut]
-        members: set[int] = set()
-        for k in range(1, k_max + 1):
-            km = tuple(k * e for e in m)
-            for n in open_n:
-                if n in members:
-                    continue
-                if not member(km, k * n):
-                    break
-                members.add(n)
-            if len(members) == len(open_n):
+        goal = open_n[-1] if open_n else 0
+        best = 0  # the members are the open dilations n <= best
+        failed: list[tuple[int, int]] = []  # (k, n): x^{km} outside I^{kn}
+        for k in range(k_max, 0, -1):
+            if best == goal:
                 break
+            km = tuple(k * e for e in m)
+            for n in reversed(open_n):
+                if n <= best:
+                    break
+                if any(kf % k == 0 and nf <= n for kf, nf in failed):
+                    continue
+                if member(km, k * n):
+                    best = n
+                    break
+                failed.append((k, n))
         top = dilation_cut(np_.rows, m, dilations[-1])
         for n in n_values:
-            if (n <= top) != (n in members):
+            if (n <= top) != (n <= best):
                 bad.append((m, n))
     return bad
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval import InvalidInput, MonomialPrime, RingContext, compute_np, normalize
+from reesval import cli
 from reesval.cli import _load_corpus_entry, main, run_corpus
 from conftest import CORPUS_PATH
 
@@ -133,6 +134,14 @@ def test_not_stabilized_exit_three():
 def test_parse_error_exit_two():
     code, _ = run_cli("vbar", "--ring", "Q[x,y]", "--ideal", "x^0", "--monomial", "x")
     assert code == 2
+
+
+def test_non_ascii_exponent_exit_two(capsys):
+    # '²' once escaped the parser as a bare ValueError (exit 1)
+    for ideal in ("x^²,y", "x^２,y"):
+        code, out = run_cli("np", "--ring", "Q[x,y]", "--ideal", ideal)
+        assert code == 2 and not out
+        assert "expected an unsigned integer" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_two():
@@ -402,6 +411,37 @@ def test_run_corpus_function_buffer(tmp_path):
     buf = io.StringIO()
     assert run_corpus(path, out=buf) == 0
     assert json.loads(buf.getvalue().splitlines()[0])["id"] == "e1"
+
+
+def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit, so
+    # --jobs beyond the entry count would only fork idle workers; the fake
+    # pool records the size and runs the entries in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": f"e{i}", "ring": ["x", "y"], "gens": [[i, 0], [0, 3]]})
+        for i in (1, 2, 3)
+    ])
+    for jobs, size in ((5000, 3), (3, 3), (2, 2)):
+        assert run_corpus(path, jobs=jobs, out=io.StringIO()) == 0
+        assert sizes.pop() == size
+    assert run_corpus(str(CORPUS_PATH), jobs=5000, out=io.StringIO()) == 0
+    assert sizes == [41]
 
 
 def test_corpus_run_keeps_one_polyhedron():

@@ -1,13 +1,14 @@
 """Ideal-expression grammar: positive cases, error positions, round-trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval import (
     EmptyIdealError,
     IdealSyntaxError,
     InvalidInput,
+    ParseError,
     RingContext,
     UnknownVariableError,
     ZeroExponentError,
@@ -83,6 +84,53 @@ def test_exponent_cap_enforced():
         parse_ideal("x^13", R2)
     with pytest.raises(InvalidInput):
         parse_ideal("x^7*x^6", R2)
+
+
+def test_exponent_digits_are_ascii_only():
+    # '²' passes str.isdigit() but not int(), '２' is read by int() as 2;
+    # both are syntax errors at their own column, the last one here
+    for text in ("x^²", "x^２", "y*x^2²"):
+        for parse in (parse_ideal, parse_monomial):
+            with pytest.raises(IdealSyntaxError) as exc_info:
+                parse(text, R2)
+            assert exc_info.value.position == len(text)
+
+
+def test_exponent_longer_than_int_conversion_allows():
+    # int() refuses strings of more than 4300 digits; leading zeros count
+    # there but not here
+    with pytest.raises(IdealSyntaxError):
+        parse_ideal("x^" + "1" * 4301, R2)
+    assert parse_ideal("x^" + "0" * 5000 + "2", R2).min_gens == ((2, 0),)
+    with pytest.raises(InvalidInput):
+        parse_ideal("x^" + "1" * 4300, R2)
+
+
+# grammar tokens make malformed-but-close inputs such as "x^²" likely
+parser_text = st.lists(
+    st.sampled_from(["x", "y", "Q", "[", "]", ",", "*", "^", " ", "0", "2", "13", "²", "２"])
+    | st.characters(),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parser_text, parser_text)
+@example("Q[x,y]", "x^²")
+@example("Q[x²]", "x²^" + "9" * 4301)
+def test_parsers_raise_only_parse_errors(ring_text, text):
+    # every malformed input is a ParseError or InvalidInput (exit 2),
+    # never a bare ValueError or anything else
+    for call in (
+        lambda: parse_ring(ring_text),
+        lambda: parse_ideal(text, R2),
+        lambda: parse_monomial(text, R2),
+        lambda: parse_ideal(text, ring_text),
+    ):
+        try:
+            call()
+        except (ParseError, InvalidInput):
+            pass
 
 
 def test_parse_monomial():

@@ -175,6 +175,17 @@ def test_lattice_walk_matches_reference():
         # the bound (y >= 3 for x = 0 in a box with y <= 1)
         (normalize([(2, 0), (0, 3)], RingContext(NAMES[:2])), 1, (2, 1)),
         (normalize([(3, 0, 0), (0, 2, 0), (0, 0, 4)], RingContext(NAMES[:3])), 2, (6, 4, 3)),
+        # plateaus in w*(v), the least feasible last coordinate at
+        # q_{d-1} = v: x + 2y >= 2 gives w* = 1, 1, 0 for x = 0, 1, 2, and
+        # 3x + y + 3z >= 3 gives w* = 1, 1, 1, 0 for y = 0..3 at x = 0; only
+        # the corners where w* drops are minimal
+        (normalize([(2, 0), (0, 1)], RingContext(NAMES[:2])), 1, None),
+        (normalize([(1, 0, 0), (0, 3, 0), (0, 0, 1)], RingContext(NAMES[:3])), 1, None),
+        (normalize([(1, 0, 0), (0, 3, 0), (0, 0, 1)], RingContext(NAMES[:3])), 2, None),
+        # the only row x + y >= 2n has a_z = 0: below it no z fits, so at
+        # x = 0 the staircase starts at y = 2n, though z may reach n
+        (normalize([(2, 0, 0), (0, 2, 0), (1, 1, 1)], RingContext(NAMES[:3])), 1, None),
+        (normalize([(2, 0, 0), (0, 2, 0), (1, 1, 1)], RingContext(NAMES[:3])), 2, None),
     ]
     for d, count, e_max in ((1, 6, 6), (2, 20, 5), (3, 20, 4), (4, 12, 3), (5, 6, 2)):
         while count:

@@ -19,6 +19,7 @@ from reesval import (
     b_star,
     closure_oracle_discrepancies,
     compute_np,
+    contains_in_power,
     ideal_power,
     integral_closure_power,
     minimal_primes,
@@ -28,12 +29,15 @@ from reesval import (
     verify_localization,
 )
 from reesval.sampling import sample_box
+from reesval.newton import dilation_cut
 from reesval.verify import _separating_weights
 from oracles import in_closure_by_powers
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
 R4 = RingContext(("x", "y", "z", "w"))
+# corpus entry g38-quartics-plus-xyzw
+G38_GENS = ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1))
 
 
 def ideal_in(ring, *gens):
@@ -199,6 +203,92 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
 
     monkeypatch.setattr(reesval.verify, "dilation_cut", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
+
+
+def recording_search(monkeypatch):
+    """Log every raw-power question the oracle asks as (km, t, answer)."""
+    asked = []
+    honest = reesval.verify._power_search
+
+    def recorded(I):
+        member = honest(I)
+
+        def logged(km, t):
+            answer = member(km, t)
+            asked.append((km, t, answer))
+            return answer
+
+        return logged
+
+    monkeypatch.setattr(reesval.verify, "_power_search", recorded)
+    return asked
+
+
+def test_closure_oracle_ladder_matches_definition_for_every_k_max(monkeypatch):
+    # The k ladder runs from k_max down and skips what monotonicity
+    # decides.  For every k_max it must answer by the definition, and it
+    # must never ask what its earlier answers on the same sample imply:
+    # success at (k', n') gives success at (k, n) when k' | k and n <= n',
+    # failure at (k', n') gives failure at (k, n) when k | k' and n >= n'.
+    # On (x^a, y^a), m = (p, q) with p + q = n*a is a member only for k
+    # with a | k*p, so the least working k runs through 2..6.
+    asked = recording_search(monkeypatch)
+    n_values = (3, 1, 2)
+    cases = [
+        (ideal_in(R2, (a, 0), (0, a)), sample_box((2 * a, 2 * a), 500, f"ladder:{a}"))
+        for a in range(2, 7)
+    ]
+    g38 = ideal_in(R4, *G38_GENS)
+    cases.append((g38, sample_box(g38.max_exponents(), 150, "ladder:g38")))
+    least_ks = set()
+    for I, monomials in cases:
+        np_ = compute_np(I)
+        least_k = {
+            (m, n): next(
+                (k for k in range(1, 13) if contains_in_power(I, tuple(k * e for e in m), k * n)),
+                None,
+            )
+            for m in monomials
+            for n in n_values
+        }
+        least_ks.update(least_k.values())
+        for k_max in range(1, 13):
+            for m in monomials:
+                expected = [
+                    (m, n)
+                    for n in n_values
+                    if np_contains(np_, m, n)
+                    != (least_k[m, n] is not None and least_k[m, n] <= k_max)
+                ]
+                asked.clear()
+                got = closure_oracle_discrepancies(I, [m], n_values, k_max)
+                assert got == expected, (I.min_gens, m, k_max)
+                answers = []
+                for km, t, answer in asked:
+                    k = next(a // b for a, b in zip(km, m) if b)
+                    n = t // k
+                    for k2, n2, answer2 in answers:
+                        implied_yes = answer2 and k % k2 == 0 and n <= n2
+                        implied_no = not answer2 and k2 % k == 0 and n >= n2
+                        assert not implied_yes and not implied_no, (I.min_gens, m, k_max, asked)
+                    answers.append((k, n, answer))
+    assert set(range(2, 7)) <= least_ks
+
+
+def test_closure_oracle_asks_once_per_member_on_g38(monkeypatch):
+    # in the corpus sample of g38 the least working k of every facet member
+    # is 1, 2, 3 or 4, each a divisor of k_max = 12, so the ladder from the
+    # top answers each sample that has a facet member with one successful
+    # search (at its largest member n) and never fails a search; the
+    # ascending ladder failed at every k below the least one first
+    asked = recording_search(monkeypatch)
+    g38 = ideal_in(R4, *G38_GENS)
+    monomials = sample_box(g38.max_exponents(), 500, "1:g38-quartics-plus-xyzw")
+    assert closure_oracle_discrepancies(g38, monomials) == []
+    rows = compute_np(g38).rows
+    with_member = sum(dilation_cut(rows, m, 3) >= 1 for m in monomials)
+    assert with_member
+    assert [answer for _, _, answer in asked] == [True] * with_member
 
 
 def test_closure_oracle_rejects_bad_arguments():
