@@ -140,19 +140,21 @@ def _cmd_vbar(args) -> int:
     return 0
 
 
-def _chain_verdicts(report) -> dict:
-    """The chain verdicts of `verify cor26` and `corpus`.
+def _astar_verdicts(report) -> dict:
+    """The chain verdicts of `astar`.
 
     cor26 is true on every report: a_star returns only once the chain
     reaches B*(I), and raises NotStabilized (exit 3) otherwise.  monotone
-    says the chain never lost a prime; lemma21i, that Min(I) lies in the
-    stable set.
+    says the chain never lost a prime.
     """
-    return {
-        "cor26": True,
-        "lemma21i": minimal_primes(report.ideal) <= report.stable_set,
-        "monotone": report.verdict_monotone,
-    }
+    return {"cor26": True, "monotone": report.verdict_monotone}
+
+
+def _chain_verdicts(report) -> dict:
+    """The chain verdicts of `verify cor26` and `corpus`: those of `astar`,
+    and lemma21i, that Min(I) lies in the stable set."""
+    lemma21i = minimal_primes(report.ideal) <= report.stable_set
+    return {**_astar_verdicts(report), "lemma21i": lemma21i}
 
 
 def _astar_json(report, ring: RingContext, verdicts: dict) -> dict:
@@ -169,9 +171,7 @@ def _cmd_astar(args) -> int:
     I = _require_ideal(args)
     report = a_star(I, args.cap if args.cap is not None else DEFAULT_CHAIN_CAP)
     if args.json:
-        verdicts = _chain_verdicts(report)
-        del verdicts["lemma21i"]  # astar reports the chain alone
-        print(_dump(_astar_json(report, I.ring, verdicts)))
+        print(_dump(_astar_json(report, I.ring, _astar_verdicts(report))))
     else:
         for n, ass in report.chain:
             print(f"n={n}: {_primes_text(ass, I.ring)}")

@@ -34,19 +34,19 @@ class RingContext:
     variable_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = tuple(self.variable_names)
+        names = check_collection(self.variable_names, "variable names")
         object.__setattr__(self, "variable_names", names)
         if not 1 <= len(names) <= MAX_DIMENSION:
             raise InvalidInput(
                 f"ring needs between 1 and {MAX_DIMENSION} variables, got {len(names)}"
             )
-        if len(set(names)) != len(names):
-            raise InvalidInput("variable names must be distinct")
         for name in names:
-            ok = name and (name[0].isalpha() or name[0] == "_")
+            ok = isinstance(name, str) and name and (name[0].isalpha() or name[0] == "_")
             ok = ok and all(c.isalnum() or c == "_" for c in name)
             if not ok:
-                raise InvalidInput(f"invalid variable name {name!r}")
+                raise InvalidInput(f"variable names must be identifiers, got {name!r}")
+        if len(set(names)) != len(names):
+            raise InvalidInput("variable names must be distinct")
 
     @property
     def dimension(self) -> int:
@@ -111,9 +111,21 @@ def unit_ideal(ring: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ring, ((0,) * ring.dimension,))
 
 
+def check_collection(value, name: str) -> tuple:
+    """The items of a collection argument, as a tuple.  A bare value (an
+    int, None, or a str, which would iterate as its characters) raises
+    InvalidInput naming the argument, not TypeError or a silent split."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{name} must be a collection, got {value!r}")
+
+
 def check_vector(d: int, m: Iterable[int]) -> tuple[int, ...]:
     """Validate an exponent vector of length d; returns it as a tuple."""
-    m = tuple(m)
+    m = check_collection(m, "vector")
     if len(m) != d:
         raise InvalidInput(f"vector {m} has length {len(m)}, expected {d}")
     # bool is an int subclass, but True is no exponent
@@ -133,15 +145,9 @@ def check_count(value, name: str, least: int) -> int:
 
 
 def check_indexes(var_indexes: Iterable[int]) -> tuple[int, ...]:
-    """A collection of 0-based variable indexes, each checked with
-    check_count, as a tuple in the given order.  A bare int or any other
-    non-iterable raises InvalidInput naming the argument, not TypeError."""
-    try:
-        items = tuple(var_indexes)
-    except TypeError:
-        raise InvalidInput(
-            f"variable indexes must be a collection of integers, got {var_indexes!r}"
-        ) from None
+    """A collection of 0-based variable indexes (see check_collection), each
+    checked with check_count, as a tuple in the given order."""
+    items = check_collection(var_indexes, "variable indexes")
     return tuple(check_count(i, "variable index", 0) for i in items)
 
 

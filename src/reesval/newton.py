@@ -30,7 +30,7 @@ from .core import (
     check_vector,
     ideal_power,
     ideal_product,
-    normalize,
+    monomial_key,
 )
 from .errors import InvalidInput
 
@@ -109,11 +109,14 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     integer and primitive.
 
     Every intermediate cone is pointed (the first d+1 constraints are
-    nonsingular) and lives in R^dim, dim = d+1.  A ray's tight set T is
-    kept as a bitmask over constraint indexes and as the list of those
-    indexes; an extreme ray has rank(T) = dim - 1.
-    Each live ray holds a slot, and on[c] is the bitmask of live slots tight
-    on constraint c, so questions about rays are answered column-wise.
+    nonsingular) and lives in R^dim, dim = d+1.  A ray's tight set T is a
+    bitmask over constraint indexes; an extreme ray has rank(T) = dim - 1.
+    A ray's index is fixed at creation (rays are appended, no index is
+    reused), so index order is output order and the live list stays
+    ascending.  on[c] is the bitmask of the rays tight on constraint c, so
+    questions about rays are answered column-wise.  Bits of cut-off rays
+    stay in on[c]: every read of on[c] is ANDed with pos or with the step's
+    live mask pos | zero | neg, so no cut-off ray is ever seen.
 
     Adjacent rays span a 2-face, whose tight constraints have rank dim - 2,
     so a positive ray p is a candidate partner of a negative ray m only
@@ -137,56 +140,43 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     interiors.  A new ray's tight set is `common | bit(k)` with no further
     dot products: it is a positive combination of two rays on which every
     earlier constraint is >= 0, so an earlier constraint vanishes on it iff
-    it vanishes on both.  Slots of cut-off rays are cleared from every
-    on[c] and reused by the new rays.
+    it vanishes on both.
     """
     dim = d + 1
-    constraints: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)
-    ]
-    constraints += [tuple(p) + (1,) for p in points]
-
     p0 = points[0]
-    ray_at: list[tuple[int, ...]] = [
+    rays: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(d)) + (-p0[i],) for i in range(d)
     ]
-    ray_at.append((0,) * d + (1,))
-    # tight sets, as constraint bitmasks and as index lists
-    cols_at = [[k for k in range(dim) if _dot(constraints[k], r) == 0] for r in ray_at]
-    tight_at = [sum(1 << c for c in cols) for cols in cols_at]
-    order = list(range(dim))  # slots in ray order
-    on = [0] * len(constraints)
-    for s, cols in enumerate(cols_at):
-        for c in cols:
-            on[c] |= 1 << s
+    rays.append((0,) * d + (1,))
+    # ray i is tight on each of the first dim constraints but the i-th
+    full = (1 << dim) - 1
+    tight = [full ^ (1 << i) for i in range(dim)]
+    on = [full ^ (1 << c) for c in range(dim)] + [0] * (len(points) - 1)
+    live = list(range(dim))  # the current cone's rays, ascending
 
-    for k in range(dim, len(constraints)):
-        h = constraints[k]
+    for k, point in enumerate(points[1:], dim):
+        h = tuple(point) + (1,)
         bit = 1 << k
-        val = [0] * len(ray_at)
-        pos = zero = dead = 0
+        val = {}
+        pos = zero = 0
         neg = []
-        for s in order:
-            v = val[s] = sum(map(mul, h, ray_at[s]))
+        for i in live:
+            v = val[i] = sum(map(mul, h, rays[i]))
             if v > 0:
-                pos |= 1 << s
+                pos |= 1 << i
             elif v < 0:
-                neg.append(s)
-                dead |= 1 << s
+                neg.append(i)
             else:
-                zero |= 1 << s
-                tight_at[s] |= bit
-                cols_at[s].append(k)
+                zero |= 1 << i
+                tight[i] |= bit
+        on[k] = zero
         if not neg:
-            on[k] = zero
             continue
-        live = pos | zero | dead
-        rank = [0] * len(ray_at)
-        for i, s in enumerate(order):
-            rank[s] = i
+        live_mask = pos | zero | sum(1 << i for i in neg)
         found = []
         for m in neg:
-            tm, cs = tight_at[m], cols_at[m]
+            tm = tight[m]
+            cs = _bit_indexes(tm)
             r = len(cs) - (dim - 2)
             acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
             for c in cs:
@@ -195,42 +185,32 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
                     acc[j] = (acc[j] & o) | acc[j - 1]
                 acc[0] &= o
             cand = acc[r]
-            ray_m, vm = ray_at[m], val[m]
+            ray_m, vm = rays[m], val[m]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 p = low.bit_length() - 1
-                common = tight_at[p] & tm
+                common = tight[p] & tm
                 if r > 1:
-                    cover = live
+                    cover = live_mask
                     for c in _bit_indexes(common):
                         cover &= on[c]
                     if cover.bit_count() != 2:
                         continue
                 vp = val[p]
-                combo = [vp * b - vm * a for a, b in zip(ray_at[p], ray_m)]
+                combo = [vp * b - vm * a for a, b in zip(rays[p], ray_m)]
                 g = gcd(*combo)
-                found.append((rank[p], rank[m], tuple(v // g for v in combo), common | bit))
+                found.append((p, m, tuple(v // g for v in combo), common | bit))
         found.sort()
-        keep = ~dead
-        on = [o & keep for o in on]
-        on[k] = zero
-        order = [s for s in order if val[s] >= 0]
-        free = sorted(neg, reverse=True)
+        live = [i for i in live if val[i] >= 0]
         for _, _, combo, t in found:
-            cols = _bit_indexes(t)
-            if free:
-                s = free.pop()
-                ray_at[s], tight_at[s], cols_at[s] = combo, t, cols
-            else:
-                s = len(ray_at)
-                ray_at.append(combo)
-                tight_at.append(t)
-                cols_at.append(cols)
-            order.append(s)
-            for c in cols:
-                on[c] |= 1 << s
-    return [ray_at[s] for s in order]
+            i = len(rays)
+            rays.append(combo)
+            tight.append(t)
+            live.append(i)
+            for c in _bit_indexes(t):
+                on[c] |= 1 << i
+    return [rays[i] for i in live]
 
 
 @lru_cache(maxsize=1)
@@ -383,8 +363,10 @@ def _minimal_lattice_members(
     return out
 
 
-# typed: True hashes like 1, and an untyped hit would skip the check on n
-@lru_cache(maxsize=None, typed=True)
+# typed: True hashes like 1, and an untyped hit would skip the check on n.
+# 16 entries hold every n that one top-level call asks for: a_star up to its
+# default cap 8, verify_localization 1..4, and closures of powers up to 2d.
+@lru_cache(maxsize=16, typed=True)
 def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """The monomial ideal of all lattice points of n * NP(I).
 
@@ -395,7 +377,9 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     are found inside the box prod [0, n*M_i] with M the componentwise
     generator maxima; any lattice point of the dilation that leaves the box
     dominates one inside it (see the README for the one-paragraph
-    argument), so the scan is complete.
+    argument), so the scan is complete.  The walk returns exactly the
+    minimal members, an antichain, so they are only sorted into canonical
+    order, not re-minimized.
     """
     check_count(n, "n", 1)
     s = max(1, I.ring.dimension - 1)
@@ -403,7 +387,8 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
         return ideal_product(ideal_power(I, n - s), integral_closure_power(I, s))
     np_ = compute_np(I)
     bounds = tuple(n * m for m in I.max_exponents())
-    return normalize(_minimal_lattice_members(np_.rows, bounds, n), I.ring)
+    members = _minimal_lattice_members(np_.rows, bounds, n)
+    return MonomialIdeal(I.ring, tuple(sorted(members, key=monomial_key)))
 
 
 def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:

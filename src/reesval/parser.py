@@ -19,6 +19,7 @@ from .core import (
     MAX_INPUT_EXPONENT,
     MonomialIdeal,
     RingContext,
+    check_vector,
     normalize,
 )
 from .errors import (
@@ -156,7 +157,7 @@ def parse_monomial(text: str, ring: RingContext | str) -> tuple[int, ...]:
 def render_monomial(m: tuple[int, ...], ring: RingContext) -> str:
     """'x^2*y'-style rendering; the zero vector renders as '1'."""
     parts = []
-    for name, e in zip(ring.variable_names, m):
+    for name, e in zip(ring.variable_names, check_vector(ring.dimension, m)):
         if e == 1:
             parts.append(name)
         elif e > 1:

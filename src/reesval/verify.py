@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     MonomialIdeal,
     _power_search,
+    check_collection,
     check_count,
     check_var_indexes,
     check_vector,
@@ -165,7 +166,9 @@ def closure_oracle_discrepancies(
     (`core._power_search`), and each sample is validated once.
     """
     check_count(k_max, "k_max", 1)
-    n_values = tuple(check_count(n, "n_values entry", 1) for n in n_values)
+    n_values = tuple(
+        check_count(n, "n_values entry", 1) for n in check_collection(n_values, "n_values")
+    )
     if not n_values:
         raise InvalidInput("n_values must not be empty")
     np_ = compute_np(I)
@@ -173,7 +176,7 @@ def closure_oracle_discrepancies(
     member = _power_search(I)
     dilations = sorted(set(n_values))
     bad = []
-    for m in monomials:
+    for m in check_collection(monomials, "monomials"):
         m = check_vector(I.ring.dimension, m)
         # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
         cut = min((sum(map(mul, w, m)) // b for w, b in weights), default=dilations[-1])

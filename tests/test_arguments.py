@@ -1,10 +1,11 @@
-"""Every count and variable-index argument is checked one way.
+"""Every count and collection argument is checked one way.
 
 A count is a plain int at or above the entry point's least value; bool is
-an int subclass but no count.  Variable indexes come as a collection of
-such counts, never as a bare int.  Anything else raises InvalidInput
-naming the argument, never a TypeError, a silent coercion or a vacuous
-pass.
+an int subclass but no count.  A collection (variable indexes or names, an
+exponent vector, a list of samples or dilations) is never a bare value: not
+an int, not None, not a str split into characters.  Anything else raises
+InvalidInput naming the argument, never a TypeError, a silent coercion or
+a vacuous pass.
 """
 
 import pytest
@@ -22,8 +23,10 @@ from reesval import (
     ideal_power,
     integral_closure_power,
     normalize,
+    render_monomial,
     samuel_order,
     saturate,
+    vbar,
     verify_localization,
 )
 from reesval.cli import run_corpus
@@ -73,18 +76,32 @@ def test_count_arguments_are_plain_ints_at_least_least(entry):
     call(least)  # the bound is the intended one
 
 
-# entry point -> call taking a collection of variable indexes
-INDEX_COLLECTIONS = {
-    "saturate": lambda v: saturate(I, v),
-    "verify_localization": lambda v: verify_localization(I, v),
-    "MonomialPrime": lambda v: MonomialPrime(v),
+# entry point -> (name in the message, call taking a collection, a collection
+# it accepts, further values it rejects)
+COLLECTIONS = {
+    "saturate": ("variable indexes", lambda v: saturate(I, v), (1,), ()),
+    "verify_localization": ("variable indexes", lambda v: verify_localization(I, v), (1,), ()),
+    "MonomialPrime": ("variable indexes", MonomialPrime, (1,), ()),
+    "RingContext": ("variable names", RingContext, ("x", "y"), ((1,), ("x", None), ("x", ""))),
+    "vbar": ("vector", lambda v: vbar(I, v), (1, 1), ()),
+    "render_monomial": ("vector", lambda v: render_monomial(v, R2), (1, 2), ((1, 2, 3),)),
+    "closure_oracle.monomials": (
+        "monomials", lambda v: closure_oracle_discrepancies(I, v), [(1, 1)], ()
+    ),
+    # a bad value v here makes the samples the pair (v, v): v = 1 is (1, 1)
+    "closure_oracle.sample": (
+        "vector", lambda v: closure_oracle_discrepancies(I, (v, v)), (1, 1), ()
+    ),
+    "closure_oracle.n_values": (
+        "n_values", lambda v: closure_oracle_discrepancies(I, [(1, 1)], v), (1, 2), ()
+    ),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(INDEX_COLLECTIONS))
+@pytest.mark.parametrize("entry", sorted(COLLECTIONS))
 def test_index_collections_reject_a_bare_value(entry):
-    call = INDEX_COLLECTIONS[entry]
-    for bad in (1, True, 1.5, None):
-        with pytest.raises(InvalidInput, match=r"^variable indexes\b"):
+    name, call, good, further = COLLECTIONS[entry]
+    for bad in (1, True, 1.5, None, "xy") + further:
+        with pytest.raises(InvalidInput, match=rf"^{name}\b"):
             call(bad)
-    call((1,))  # the collection it stands for is accepted
+    call(good)  # the collection it stands for is accepted

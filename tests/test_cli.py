@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reesval import InvalidInput, MonomialPrime, RingContext, compute_np, normalize
+from reesval import (
+    InvalidInput,
+    MonomialPrime,
+    RingContext,
+    compute_np,
+    integral_closure_power,
+    normalize,
+)
 from reesval import cli
 from reesval.cli import _load_corpus_entry, main, run_corpus
 from conftest import CORPUS_PATH
@@ -65,6 +72,19 @@ def test_astar_json():
     assert payload["stable_set"] == [["x"], ["x", "y"]]
     assert payload["b_star"] == payload["stable_set"]
     assert payload["verdicts"] == {"cor26": True, "monotone": True}
+
+
+def test_astar_computes_no_minimal_primes(monkeypatch):
+    # astar prints no lemma21i verdict, so Min(I) is never needed
+    argv = ("astar", "--ring", "Q[x,y,z]", "--ideal", "x^2*y,y*z,z^3", "--json")
+    expected = run_cli(*argv)
+
+    def refuse(I):
+        raise AssertionError("astar computed minimal_primes")
+
+    monkeypatch.setattr(cli, "minimal_primes", refuse)
+    assert run_cli(*argv) == expected
+    assert expected[0] == 0
 
 
 def test_verify_cor26_exit_zero():
@@ -445,7 +465,9 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
 
 
 def test_corpus_run_keeps_one_polyhedron():
-    # the Newton polyhedron memo is bounded: a whole corpus run leaves at
-    # most the last entry's polyhedron behind, not one per entry
+    # the Newton polyhedron and closure memos are bounded: a whole corpus
+    # run leaves at most the last entry's polyhedron behind, not one per
+    # entry, and at most 16 closures, not one per entry and power
     assert run_corpus(str(CORPUS_PATH), out=io.StringIO()) == 0
     assert compute_np.cache_info().currsize <= 1
+    assert integral_closure_power.cache_info().currsize <= 16
