@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from typing import Optional, Sequence
 
 from .core import (
@@ -366,8 +366,9 @@ def run_corpus(
         corpus_entry_report, seed=seed, n_cap=n_cap, timings=timings
     )
     if jobs > 1 and len(entries) > 1:
-        # a fork pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
+        # a fork pool starts every worker at the first submit; the package
+        # loads its process module (and multiprocessing) on this first use
+        with futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             reports = list(pool.map(worker, entries))
     else:
         reports = [worker(entry) for entry in entries]

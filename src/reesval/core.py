@@ -15,6 +15,7 @@ can be shared across workers and cached freely.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Sequence
@@ -82,7 +83,8 @@ class MonomialIdeal:
     min_gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(check_vector(self.ring.dimension, g) for g in self.min_gens)
+        d = self.ring.dimension
+        gens = tuple(check_vector(d, g) for g in check_collection(self.min_gens, "generators"))
         object.__setattr__(self, "min_gens", gens)
 
     def is_zero(self) -> bool:
@@ -112,10 +114,13 @@ def unit_ideal(ring: RingContext) -> MonomialIdeal:
 
 
 def check_collection(value, name: str) -> tuple:
-    """The items of a collection argument, as a tuple.  A bare value (an
-    int, None, or a str, which would iterate as its characters) raises
-    InvalidInput naming the argument, not TypeError or a silent split."""
-    if not isinstance(value, str):
+    """The items of a collection argument, as a tuple (a tuple is returned
+    as it is).  A bare value (an int, None, or a str, bytes or bytearray,
+    which would iterate as characters or byte values) raises InvalidInput
+    naming the argument, not TypeError or a silent split."""
+    if type(value) is tuple:
+        return value
+    if not isinstance(value, (str, bytes, bytearray)):
         try:
             return tuple(value)
         except TypeError:
@@ -128,9 +133,10 @@ def check_vector(d: int, m: Iterable[int]) -> tuple[int, ...]:
     m = check_collection(m, "vector")
     if len(m) != d:
         raise InvalidInput(f"vector {m} has length {len(m)}, expected {d}")
-    # bool is an int subclass, but True is no exponent
-    if any(type(e) is not int or e < 0 for e in m):
-        raise InvalidInput(f"vector {m} needs non-negative integer entries")
+    for e in m:
+        # bool is an int subclass, but True is no exponent
+        if type(e) is not int or e < 0:
+            raise InvalidInput(f"vector {m} needs non-negative integer entries")
     return m
 
 
@@ -179,6 +185,8 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
     which lies in [1, 2^w - 1]: no borrow crosses a field, and the guard bit
     survives iff h_i <= g_i.  So h divides g iff the result has all of G set.
     """
+    if not isinstance(gens, Iterator):  # an iterator is read once, not copied
+        gens = check_collection(gens, "generators")
     seen = {check_vector(ring.dimension, g) for g in gens}
     if not seen:
         return MonomialIdeal(ring, ())

@@ -26,6 +26,7 @@ from .core import (
     MonomialIdeal,
     RingContext,
     _power_search,
+    check_collection,
     check_count,
     check_vector,
     ideal_power,
@@ -46,7 +47,7 @@ class FacetInequality:
     offset: int
 
     def __post_init__(self) -> None:
-        normal = tuple(self.normal)
+        normal = check_collection(self.normal, "normal")
         object.__setattr__(self, "normal", check_vector(len(normal), normal))
         if gcd(*normal) != 1:
             raise InvalidInput("facet normal must be nonzero and primitive")
@@ -109,20 +110,38 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     integer and primitive.
 
     Every intermediate cone is pointed (the first d+1 constraints are
-    nonsingular) and lives in R^dim, dim = d+1.  A ray's tight set T is a
-    bitmask over constraint indexes; an extreme ray has rank(T) = dim - 1.
-    A ray's index is fixed at creation (rays are appended, no index is
-    reused), so index order is output order and the live list stays
-    ascending.  on[c] is the bitmask of the rays tight on constraint c, so
-    questions about rays are answered column-wise.  Bits of cut-off rays
-    stay in on[c]: every read of on[c] is ANDed with pos or with the step's
-    live mask pos | zero | neg, so no cut-off ray is ever seen.
+    nonsingular) and lives in R^dim, dim = d+1.  A ray's index is fixed at
+    creation (rays are appended, no index is reused), so index order is
+    output order.  Each ray keeps two bitmasks over all constraints, later
+    ones included: its tight set T and its negative set N.  on[c] is the
+    bitmask of the rays tight on constraint c, so questions about rays are
+    answered column-wise.  Bits of cut-off rays stay in on[c]: every read
+    of on[c] is ANDed with pos or with the step's live mask, so no cut-off
+    ray is ever seen.
+
+    Later signs come from the parents.  The d+1 initial rays are evaluated
+    once on every generator.  A new ray is y = a*p + b*m with a, b > 0, so
+    on a later constraint y is < 0 where one parent is < 0 and the other
+    <= 0, is 0 where both are 0, and is > 0 where both are >= 0 and one is
+    > 0; only where one parent is > 0 and the other < 0 does it take a dot
+    product.  A ray is >= 0 on every constraint up to its creation, so it
+    is cut by the step of its first negative constraint, and is filed in
+    that step's bucket when it is made.  A step reads its bucket for the
+    negative rays and on[k] for the zero ones; the rest of the live rays
+    are positive.  A generator that cuts nothing costs nothing.
 
     Adjacent rays span a 2-face, whose tight constraints have rank dim - 2,
     so a positive ray p is a candidate partner of a negative ray m only
     when it shares at least dim - 2 of T_m, i.e. misses at most
     r = |T_m| - (dim - 2) of them; "misses at most j" accumulators over
-    on[c], c in T_m, find all such p at once.
+    on[c], c in T_m, find all such p at once.  Adjacency is a property of
+    the current cone, whose constraints are those before the step, so T_m
+    and every common set are masked to them where the accumulators and the
+    cover below read them.  A later constraint that both rays happen to be
+    tight on bounds no face yet: counted, it would raise r (admitting
+    partners that share too few current constraints) and shrink the
+    Fukuda-Prodon cover (hiding the third ray that proves a pair not
+    adjacent).
 
     - A simple m (|T_m| = dim - 1, r = 1) needs no further test.  T_m has
       independent constraints, so p cannot be tight on all of them (it
@@ -137,80 +156,120 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
 
     No combination is produced twice: it lies in the relative interior of
     the 2-face its pair spans, and distinct 2-faces have disjoint relative
-    interiors.  A new ray's tight set is `common | bit(k)` with no further
-    dot products: it is a positive combination of two rays on which every
-    earlier constraint is >= 0, so an earlier constraint vanishes on it iff
-    it vanishes on both.
+    interiors.  A new ray's tight set up to the step is `common | bit(k)`
+    with no further dot products, by the same sign argument: every earlier
+    constraint is >= 0 on both parents.
     """
     dim = d + 1
+    count = d + len(points)
+    hs = [tuple(q) + (1,) for q in points]  # constraint d + j is hs[j]
     p0 = points[0]
     rays: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(d)) + (-p0[i],) for i in range(d)
     ]
     rays.append((0,) * d + (1,))
-    # ray i is tight on each of the first dim constraints but the i-th
+    # ray i is tight on each of the first dim constraints but the i-th; on a
+    # later generator q, unit ray i reads q_i - p0_i and the height ray 1
     full = (1 << dim) - 1
     tight = [full ^ (1 << i) for i in range(dim)]
+    neg = [0] * dim
     on = [full ^ (1 << c) for c in range(dim)] + [0] * (len(points) - 1)
-    live = list(range(dim))  # the current cone's rays, ascending
+    for c in range(dim, count):
+        q = points[c - d]
+        for i in range(d):
+            if q[i] < p0[i]:
+                neg[i] |= 1 << c
+            elif q[i] == p0[i]:
+                tight[i] |= 1 << c
+                on[c] |= 1 << i
+    bucket: list[list[int]] = [[] for _ in range(count)]  # by first negative
+    for i in range(d):
+        if neg[i]:
+            bucket[(neg[i] & -neg[i]).bit_length() - 1].append(i)
+    live = full
 
-    for k, point in enumerate(points[1:], dim):
-        h = tuple(point) + (1,)
-        bit = 1 << k
-        val = {}
-        pos = zero = 0
-        neg = []
-        for i in live:
-            v = val[i] = sum(map(mul, h, rays[i]))
-            if v > 0:
-                pos |= 1 << i
-            elif v < 0:
-                neg.append(i)
-            else:
-                zero |= 1 << i
-                tight[i] |= bit
-        on[k] = zero
-        if not neg:
+    for k in range(dim, count):
+        cut = bucket[k]
+        if not cut:
             continue
-        live_mask = pos | zero | sum(1 << i for i in neg)
+        h = hs[k - d]
+        bit = 1 << k
+        below = bit - 1
+        cut_mask = 0
+        for m in cut:
+            cut_mask |= 1 << m
+        pos = live & ~(on[k] | cut_mask)
         found = []
-        for m in neg:
-            tm = tight[m]
-            cs = _bit_indexes(tm)
-            r = len(cs) - (dim - 2)
-            acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
-            for c in cs:
-                o = on[c]
-                for j in range(r, 0, -1):
-                    acc[j] = (acc[j] & o) | acc[j - 1]
-                acc[0] &= o
-            cand = acc[r]
-            ray_m, vm = rays[m], val[m]
+        vp_of = {}  # the step's value on each positive partner
+        for m in cut:
+            tm = tight[m] & below
+            r = tm.bit_count() - (dim - 2)
+            if r == 1:
+                # acc0: misses none of T_m so far; cand: misses at most one
+                acc0 = cand = pos
+                for c in _bit_indexes(tm):
+                    o = on[c]
+                    cand = (cand & o) | acc0
+                    acc0 &= o
+            else:
+                acc = [pos] * (r + 1)  # acc[j]: misses at most j of T_m so far
+                for c in _bit_indexes(tm):
+                    o = on[c]
+                    for j in range(r, 0, -1):
+                        acc[j] = (acc[j] & o) | acc[j - 1]
+                    acc[0] &= o
+                cand = acc[r]
+            if not cand:
+                continue
+            ray_m = rays[m]
+            vm = sum(map(mul, h, ray_m))
             while cand:
                 low = cand & -cand
                 cand ^= low
                 p = low.bit_length() - 1
                 common = tight[p] & tm
                 if r > 1:
-                    cover = live_mask
+                    cover = live
                     for c in _bit_indexes(common):
                         cover &= on[c]
                     if cover.bit_count() != 2:
                         continue
-                vp = val[p]
-                combo = [vp * b - vm * a for a, b in zip(rays[p], ray_m)]
+                ray_p = rays[p]
+                vp = vp_of.get(p)
+                if vp is None:
+                    vp = vp_of[p] = sum(map(mul, h, ray_p))
+                combo = [vp * b - vm * a for a, b in zip(ray_p, ray_m)]
                 g = gcd(*combo)
-                found.append((p, m, tuple(v // g for v in combo), common | bit))
+                found.append((p, m, tuple(combo) if g == 1 else tuple([v // g for v in combo])))
         found.sort()
-        live = [i for i in live if val[i] >= 0]
-        for _, _, combo, t in found:
+        live ^= cut_mask
+        for p, m, combo in found:
             i = len(rays)
             rays.append(combo)
+            tight_p, tight_m = tight[p], tight[m]
+            neg_p, neg_m = neg[p], neg[m] ^ bit  # both now on later constraints only
+            t = (tight_p & tight_m) | bit
+            mixed = (neg_p ^ neg_m) & ~(tight_p | tight_m)  # one parent > 0, the other < 0
+            n = (neg_p | neg_m) & ~mixed
+            while mixed:
+                low = mixed & -mixed
+                mixed ^= low
+                v = sum(map(mul, hs[low.bit_length() - 1 - d], combo))
+                if v < 0:
+                    n |= low
+                elif not v:
+                    t |= low
             tight.append(t)
-            live.append(i)
-            for c in _bit_indexes(t):
-                on[c] |= 1 << i
-    return [rays[i] for i in live]
+            neg.append(n)
+            b = 1 << i
+            live |= b
+            while t:
+                low = t & -t
+                t ^= low
+                on[low.bit_length() - 1] |= b
+            if n:
+                bucket[(n & -n).bit_length() - 1].append(i)
+    return [rays[i] for i in _bit_indexes(live)]
 
 
 @lru_cache(maxsize=1)
@@ -239,7 +298,7 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     for every row (a, b).  Offset-0 facets are not read: a >= 0 and q >= 0
     give a.q >= 0 = s*0, so they hold for every point and scale.
     """
-    coords = tuple(q)
+    coords = check_collection(q, "point")
     if len(coords) != np_.ring.dimension:
         raise InvalidInput(
             f"point {coords} has length {len(coords)}, expected {np_.ring.dimension}"

@@ -32,7 +32,9 @@ from .errors import (
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    def __init__(self, text: str, name: str):
+        if not isinstance(text, str):
+            raise InvalidInput(f"{name} must be a str, got {text!r}")
         self.text = text
         self.pos = 0
 
@@ -85,7 +87,7 @@ class _Scanner:
 
 def parse_ring(text: str) -> RingContext:
     """Parse "Q[x,y]"-style ring text; the coefficient token is ignored."""
-    s = _Scanner(text)
+    s = _Scanner(text, "ring text")
     if s.at_end():
         raise IdealSyntaxError("ring expression is empty", 1)
     s.ident()  # coefficient field token, e.g. Q; never used
@@ -125,11 +127,18 @@ def _parse_term(s: _Scanner, ring: RingContext) -> tuple[int, ...]:
         s.take("*")
 
 
+def _ring_of(ring: RingContext | str) -> RingContext:
+    if isinstance(ring, str):
+        return parse_ring(ring)
+    if not isinstance(ring, RingContext):
+        raise InvalidInput(f"ring must be a RingContext or ring text, got {ring!r}")
+    return ring
+
+
 def parse_ideal(text: str, ring: RingContext | str) -> MonomialIdeal:
     """Parse a comma-separated list of monomial terms into a normalized ideal."""
-    if isinstance(ring, str):
-        ring = parse_ring(ring)
-    s = _Scanner(text)
+    ring = _ring_of(ring)
+    s = _Scanner(text, "ideal text")
     if s.at_end():
         raise EmptyIdealError()
     gens = [_parse_term(s, ring)]
@@ -143,9 +152,8 @@ def parse_ideal(text: str, ring: RingContext | str) -> MonomialIdeal:
 
 def parse_monomial(text: str, ring: RingContext | str) -> tuple[int, ...]:
     """Parse a single monomial term (no commas)."""
-    if isinstance(ring, str):
-        ring = parse_ring(ring)
-    s = _Scanner(text)
+    ring = _ring_of(ring)
+    s = _Scanner(text, "monomial text")
     if s.at_end():
         raise IdealSyntaxError("monomial expression is empty", 1)
     m = _parse_term(s, ring)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import check_count
+from .core import check_collection, check_count
 
 
 def box_volume(bounds: Sequence[int]) -> int:
@@ -29,6 +29,7 @@ def sample_box(bounds: Sequence[int], cap: int, seed_key: str) -> list[tuple[int
     by a generator seeded from `seed_key` (stable across runs and machines).
     """
     check_count(cap, "cap", 0)
+    bounds = check_collection(bounds, "bounds")
     for b in bounds:
         check_count(b, "bound", 0)
     vol = box_volume(bounds)

@@ -3,7 +3,8 @@
 A count is a plain int at or above the entry point's least value; bool is
 an int subclass but no count.  A collection (variable indexes or names, an
 exponent vector, a list of samples or dilations) is never a bare value: not
-an int, not None, not a str split into characters.  Anything else raises
+an int, not None, not a str, bytes or bytearray split into characters or
+byte values.  A ring is a RingContext or ring text.  Anything else raises
 InvalidInput naming the argument, never a TypeError, a silent coercion or
 a vacuous pass.
 """
@@ -14,15 +15,20 @@ from reesval import (
     FacetInequality,
     InvalidInput,
     IrreducibleComponent,
+    MonomialIdeal,
     MonomialPrime,
     RingContext,
     a_star,
     associated_primes_bruteforce,
     closure_oracle_discrepancies,
+    compute_np,
     contains_in_power,
     ideal_power,
     integral_closure_power,
     normalize,
+    np_contains,
+    parse_ideal,
+    parse_monomial,
     render_monomial,
     samuel_order,
     saturate,
@@ -30,6 +36,7 @@ from reesval import (
     verify_localization,
 )
 from reesval.cli import run_corpus
+from reesval.core import check_vector
 from reesval.sampling import sample_box
 
 R2 = RingContext(("x", "y"))
@@ -95,13 +102,30 @@ COLLECTIONS = {
     "closure_oracle.n_values": (
         "n_values", lambda v: closure_oracle_discrepancies(I, [(1, 1)], v), (1, 2), ()
     ),
+    "check_vector": ("vector", lambda v: check_vector(2, v), (1, 2), ()),
+    "MonomialIdeal": ("generators", lambda v: MonomialIdeal(R2, v), ((1, 1),), ()),
+    "normalize": ("generators", lambda v: normalize(v, R2), [(1, 1), (2, 0)], ()),
+    "FacetInequality": ("normal", lambda v: FacetInequality(v, 1), (1, 1), ()),
+    "np_contains": ("point", lambda v: np_contains(compute_np(I), v), (1, 1), ()),
+    "sample_box": ("bounds", lambda v: sample_box(v, 3, "k"), (3, 3), ()),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(COLLECTIONS))
 def test_index_collections_reject_a_bare_value(entry):
     name, call, good, further = COLLECTIONS[entry]
-    for bad in (1, True, 1.5, None, "xy") + further:
+    for bad in (1, True, 1.5, None, "xy", b"\x01\x02", bytearray(b"\x01\x02")) + further:
         with pytest.raises(InvalidInput, match=rf"^{name}\b"):
             call(bad)
     call(good)  # the collection it stands for is accepted
+
+
+@pytest.mark.parametrize("parse", [parse_ideal, parse_monomial])
+def test_ring_and_text_arguments_of_the_parsers(parse):
+    # a ring is a RingContext or ring text; the expression is a str
+    for bad in (5, True, None, ("x", "y"), b"Q[x,y]"):
+        with pytest.raises(InvalidInput, match=r"^ring\b"):
+            parse("x", bad)
+        with pytest.raises(InvalidInput, match=r"^(ideal|monomial) text\b"):
+            parse(bad, R2)
+    assert parse("x", R2) == parse("x", "Q[x,y]")

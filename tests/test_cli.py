@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -18,7 +21,7 @@ from reesval import (
 )
 from reesval import cli
 from reesval.cli import _load_corpus_entry, main, run_corpus
-from conftest import CORPUS_PATH
+from conftest import CORPUS_PATH, REPO_ROOT
 
 
 def run_cli(*argv):
@@ -452,7 +455,7 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", FakePool)
     path = write_corpus(tmp_path, [
         json.dumps({"id": f"e{i}", "ring": ["x", "y"], "gens": [[i, 0], [0, 3]]})
         for i in (1, 2, 3)
@@ -462,6 +465,21 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
         assert sizes.pop() == size
     assert run_corpus(str(CORPUS_PATH), jobs=5000, out=io.StringIO()) == 0
     assert sizes == [41]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 uses the pool, so importing the CLI (as every command
+    # and the benchmark's set-up do) must not load multiprocessing
+    code = (
+        "import sys; import reesval.cli; "
+        "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_corpus_run_keeps_one_polyhedron():

@@ -7,6 +7,7 @@ found the shipped deep-chain corpus entry used the same checks.
 import random
 from functools import reduce
 from itertools import combinations_with_replacement
+from operator import add
 
 from reesval import (
     RingContext,
@@ -141,8 +142,52 @@ def test_dual_extreme_rays_match_reference(corpus_ideals):
     # d = 1 (a repeated point makes a ray tight on two constraints) and d = 2
     cases += [(((2,), (2,), (1,)), 1), (((3,), (1,), (2,)), 1)]
     cases += [(((4, 0), (2, 1), (2, 1), (0, 4), (1, 3)), 2), (((3, 0), (1, 1), (0, 2)), 2)]
-    for points, d in cases:
+    for points, d in cases + kernel_sign_cases():
         assert _dual_extreme_rays(points, d) == dual_extreme_rays_ref(points, d), (points, d)
+
+
+def kernel_sign_cases():
+    """Point sets for the kernel's later-constraint signs, which it takes
+    from a new ray's parents: steps that cut nothing, rays tight on a
+    constraint not yet added, and rays negative on several of them; each
+    also reversed and shuffled."""
+    rng = random.Random(910)
+    sets = []
+    for d, count in ((3, 6), (4, 8), (5, 8)):
+        gens = list(normalize(
+            [tuple(rng.randint(0, 6) for _ in range(d)) for _ in range(count)],
+            RingContext(NAMES[:d]),
+        ).min_gens)
+        # g + (1, ..., 1) for an earlier point g is positive on every ray
+        # (a, c) of the cone so far, as a >= 0: a step that cuts nothing,
+        # right after the first point, in the middle and last
+        mid = len(gens) // 2
+        inside = [
+            tuple(e + 1 for e in g) for g in (gens[0], rng.choice(gens[:mid]), rng.choice(gens))
+        ]
+        sets.append((
+            [gens[0], inside[0]] + gens[1:mid] + [inside[1]] + gens[mid:] + [inside[2]], d
+        ))
+        # inside NP on a facet: g + e_0 meets every facet with a_0 = 0 at g
+        sets.append((gens + [(g[0] + 1,) + g[1:] for g in gens[::2]], d))
+        # midpoints of doubled points: on edges and facets of the earlier ones
+        doubled = [tuple(2 * e for e in g) for g in gens]
+        sums = [tuple(map(add, g, h)) for i, g in enumerate(gens) for h in gens[i + 1:]]
+        sets.append((doubled + rng.sample(sums, min(len(sums), 12)), d))
+    # near the caps, largest degree first: the low points come late, and
+    # each cuts rays that are negative on several constraints after it
+    for _ in range(2):
+        gens = normalize(
+            [tuple(rng.randint(0, 12) for _ in range(6)) for _ in range(rng.randint(16, 22))],
+            RingContext(NAMES),
+        ).min_gens
+        sets.append((gens[::-1], 6))
+    cases = []
+    for points, d in sets:
+        shuffled = list(points)
+        rng.shuffle(shuffled)
+        cases += [(tuple(points), d), (tuple(points[::-1]), d), (tuple(shuffled), d)]
+    return cases
 
 
 def test_closure_matches_power_oracle_randomized():
