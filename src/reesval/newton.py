@@ -15,9 +15,11 @@ function min (a.m / b).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -53,6 +55,18 @@ class FacetInequality:
             raise InvalidInput("facet normal must be nonzero and primitive")
         check_count(self.offset, "offset", 0)
 
+    @classmethod
+    def _trusted(cls, normal: tuple[int, ...], offset: int) -> "FacetInequality":
+        """A facet whose normal and offset are already known to be valid (a
+        primitive non-negative int tuple and an int >= 0), built without
+        the checks; `compute_np` makes its facets this way.  Attributes are
+        set one by one, as `__init__` would: writing to `__dict__` directly
+        gives each facet a full dict of its own."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "normal", normal)
+        object.__setattr__(f, "offset", offset)
+        return f
+
     @property
     def ideal_value(self) -> int:
         """Alias of `offset`, kept only because the benchmark's digests read
@@ -82,6 +96,41 @@ class NewtonPolyhedron:
     def __post_init__(self) -> None:
         rows = tuple((f.normal, f.offset) for f in self.facets if f.offset > 0)
         object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def _lanes(self) -> tuple[int, tuple[int, ...]] | None:
+        """The row normals packed for `_row_dots`: (the largest row sum,
+        one int per coordinate j with row f's a_j in bits [64f, 64f + 64)).
+        Built on first use and kept on this object.  None when there is no
+        row, or when some row sum reaches 2**64 and no m > 0 could use the
+        lanes.  Lane order is the native one of array("Q"), and reads go
+        back through the same order, so rows round-trip on any platform."""
+        normals = [a for a, _ in self.rows]
+        if not normals:
+            return None
+        widest = max(map(sum, normals))
+        if widest >> 64:
+            return None
+        columns = tuple(
+            int.from_bytes(array("Q", column).tobytes(), sys.byteorder)
+            for column in zip(*normals)
+        )
+        return widest, columns
+
+    def _row_dots(self, m: tuple[int, ...]) -> list[int]:
+        """a.m for every row (a, b), in row order, for a checked vector m.
+
+        Packed, one multiply-add per coordinate serves every row at once:
+        0 <= a.m <= sum(a) * max(m) < 2**64 keeps each row's sum inside its
+        own 64-bit lane, so with non-negative terms no carry crosses a lane
+        and the lanes read back exactly.  Where that bound fails, or there
+        are no lanes, each row takes its own dot product."""
+        lanes = self._lanes
+        if lanes is not None and not (lanes[0] * max(m)) >> 64:
+            packed = sum(map(mul, lanes[1], m))
+            raw = packed.to_bytes(8 * len(self.rows), sys.byteorder)
+            return memoryview(raw).cast("Q").tolist()
+        return [sum(map(mul, a, m)) for a, _ in self.rows]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -282,7 +331,8 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     raw = [(ray[:d], -ray[d]) for ray in _dual_extreme_rays(I.min_gens, d) if any(ray[:d])]
     # facet order: support size, then normal, then offset
     raw.sort(key=lambda f: (d - f[0].count(0), f[0], f[1]))
-    return NewtonPolyhedron(I.ring, tuple(FacetInequality(a, b) for a, b in raw))
+    trusted = FacetInequality._trusted
+    return NewtonPolyhedron(I.ring, tuple([trusted(a, b) for a, b in raw]))
 
 
 def _exact(c) -> bool:
@@ -456,19 +506,24 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     ideal always has a positive-offset facet (the origin lies outside the
     polyhedron), so the minimum is never over an empty set.
 
-    The minimum is taken over `rows` by integer cross-multiplication
-    (offsets are positive), and only the winner becomes a Fraction.  Its
-    floor is `dilation_cut` on the same rows: the largest n with x^m in
+    Every a.m comes from one packed dot product over the row normals
+    (`NewtonPolyhedron._row_dots`: 64-bit lanes, used when
+    sum(a) * max(m) < 2**64, which keeps every lane exact), or from one
+    dot product per row where that bound fails.  The minimum is then taken
+    by integer cross-multiplication (offsets are positive), and only the
+    winner becomes a Fraction; no float enters.  Its floor is
+    `dilation_cut` on the same rows: the largest n with x^m in
     closure(I^n)."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)
-    num, den = 0, 0
-    for a, b in np_.rows:
-        v = sum(map(mul, a, m))
-        if not den or v * den < num * b:
-            num, den = v, b
-    if not den:
+    rows = np_.rows
+    if not rows:
         raise RuntimeError("proper nonzero ideal has no positive-offset facet")
+    dots = np_._row_dots(m)
+    num, den = dots[0], rows[0][1]
+    for v, (_, b) in zip(dots, rows):
+        if v * den < num * b:
+            num, den = v, b
     return Fraction(num, den)
 
 

@@ -10,6 +10,7 @@ strictly positive value).  The set of centers is B*(I).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from operator import mul
 from typing import Iterable
 
@@ -43,7 +44,9 @@ def center(v: FacetInequality) -> MonomialPrime:
 
 
 def b_star(I: MonomialIdeal) -> BStarSet:
-    """Deduplicated centers of the Rees valuations of I, one prime built
-    per distinct support."""
-    by_support = {v.support(): v for v in rees_valuations(I)}
-    return BStarSet(frozenset(center(v) for v in by_support.values()))
+    """Deduplicated centers of the Rees valuations of I: the distinct
+    supports of the positive-offset rows, read off `NewtonPolyhedron.rows`,
+    with one prime built per support (the rule of `center`)."""
+    normals = [a for a, _ in compute_np(I).rows]  # rejects unit/zero ideals
+    supports = set(map(tuple, map(compress, repeat(range(I.ring.dimension)), normals)))
+    return BStarSet(frozenset(map(MonomialPrime, supports)))

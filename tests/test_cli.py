@@ -67,6 +67,15 @@ def test_vbar_text():
     assert out.strip() == "5/6"
 
 
+def test_vbar_of_the_monomial_one():
+    # render_monomial writes the zero vector as "1", and the CLI reads it back
+    code, out = run_cli(
+        "vbar", "--ring", "Q[x,y]", "--ideal", "x^2,y^3", "--monomial", "1"
+    )
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_astar_json():
     code, out = run_cli("astar", "--ring", "Q[x,y]", "--ideal", "x^2,x*y", "--json")
     assert code == 0

@@ -342,6 +342,78 @@ def test_vbar_without_positive_offset_facet_raises(monkeypatch):
         vbar(I, (1, 1))
 
 
+def _vbar_by_fractions(np_, m):
+    return min(
+        Fraction(sum(a * x for a, x in zip(f.normal, m)), f.offset)
+        for f in np_.facets
+        if f.offset > 0
+    )
+
+
+def test_vbar_lanes_match_fractions_on_random_ideals():
+    # 5 and 6 variables at exponent <= 12: every row fits a lane, so vbar
+    # reads the packed dot products, here checked against one Fraction per
+    # facet; the zero vector and each unit vector are read too
+    rng = random.Random(1616)
+    for d in (5, 5, 5, 6, 6, 6):
+        ring = RingContext(("x", "y", "z", "w", "u", "v")[:d])
+        gens = [tuple(rng.randint(0, 12) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        I = normalize([g for g in gens if any(g)], ring)
+        np_ = compute_np(I)
+        points = [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        points += [tuple(rng.randint(0, 24) for _ in range(d)) for _ in range(12)]
+        for m in points:
+            assert vbar(I, m) == _vbar_by_fractions(np_, m), (I.min_gens, m)
+        assert np_._lanes is not None
+
+
+def test_vbar_lanes_at_the_64_bit_bound(monkeypatch):
+    # the lanes serve m while (largest row sum) * max(m) < 2**64; at
+    # 2**64 - 1 a lane is filled to its last bit, and at 2**64 a lane would
+    # wrap to 0 (row (1, 3) at m = (2**62, 2**62)), so the per-row dot
+    # products must answer there
+    I = ideal2((1, 0))
+    for facets, top in (
+        ((FacetInequality((1, 2), 2), FacetInequality((2, 1), 3), FacetInequality((1, 0), 1)), 2**64 - 1),
+        ((FacetInequality((1, 3), 2), FacetInequality((3, 1), 3), FacetInequality((0, 1), 0)), 2**64),
+    ):
+        np_ = NewtonPolyhedron(R2, facets)
+        widest = max(map(sum, (f.normal for f in facets)))
+        assert top % widest == 0
+        monkeypatch.setattr(reesval.newton, "compute_np", lambda _, np_=np_: np_)
+        big = top // widest
+        for m in [(big, big), (big, 0), (0, big), (big, big - 1), (big - 1, 1), (0, 0)]:
+            assert vbar(I, m) == _vbar_by_fractions(np_, m), (facets, m)
+        assert vbar(I, (big + 1, big + 1)) == _vbar_by_fractions(np_, (big + 1, big + 1))
+
+
+def test_vbar_with_a_normal_past_a_lane(monkeypatch):
+    # hand-built polyhedra whose row sums reach 2**64 get no lanes, whether
+    # an entry itself is past 64 bits or only the sum is; every m, the zero
+    # vector included, takes the per-row products
+    I = ideal2((1, 0))
+    for facets in (
+        (FacetInequality((2**64, 1), 5), FacetInequality((1, 0), 1)),
+        (FacetInequality((2**63, 2**63 + 1), 3), FacetInequality((3, 2**70 + 1), 7)),
+    ):
+        np_ = NewtonPolyhedron(R2, facets)
+        monkeypatch.setattr(reesval.newton, "compute_np", lambda _, np_=np_: np_)
+        for m in product((0, 1, 2, 2**64 + 3), repeat=2):
+            assert vbar(I, m) == _vbar_by_fractions(np_, m), (facets, m)
+        assert np_._lanes is None
+
+
+def test_compute_np_facets_pass_the_public_checks():
+    # compute_np builds its facets without re-validating them; each one
+    # must still be what the checked constructor accepts
+    rng = random.Random(16)
+    for d in (2, 3, 4, 5):
+        for _ in range(3):
+            for f in compute_np(random_ideal(rng, d)).facets:
+                assert FacetInequality(f.normal, f.offset) == f
+                assert type(f.offset) is int and all(type(a) is int for a in f.normal)
+
+
 def test_vbar_homogeneity():
     I = ideal2((2, 0), (0, 3))
     for m in product(range(4), repeat=2):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval import (
+    MAX_INPUT_EXPONENT,
     EmptyIdealError,
     IdealSyntaxError,
     InvalidInput,
@@ -137,6 +138,27 @@ def test_parse_monomial():
     assert parse_monomial("x*y^2", R2) == (1, 2)
     with pytest.raises(IdealSyntaxError):
         parse_monomial("x, y", R2)
+
+
+def test_parse_monomial_one_is_the_zero_vector():
+    assert parse_monomial("1", R2) == (0, 0)
+    assert parse_monomial(" 1\t", R2) == (0, 0)
+    # '1' is the whole monomial or nothing: it is no factor
+    for bad in ("1*x", "x*1", "1, 1", "11", "1^2"):
+        with pytest.raises(IdealSyntaxError):
+            parse_monomial(bad, R2)
+    with pytest.raises(IdealSyntaxError):
+        parse_ideal("1", R2)
+
+
+R3 = RingContext(("x", "y", "z_1"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(0, MAX_INPUT_EXPONENT)] * 3))
+@example((0, 0, 0))
+def test_monomial_round_trip(m):
+    assert parse_monomial(render_monomial(m, R3), R3) == m
 
 
 def test_render_monomial():
