@@ -391,84 +391,102 @@ def _minimal_lattice_members(
     a.(q - e_j) >= 0 hold, so such a facet never prunes a prefix, never
     sets the last coordinate and never decides minimality.
 
+    Every row is one lane of a single int, in `normalize`'s guard-bit
+    layout: a point's row values a.q sit in lanes of W bits, W one more
+    than the bit length of the largest in-box a.q or target scale*b, and G
+    has each lane's top bit set.  In (X | G) - T every lane holds
+    2**(W-1) + a.q - scale*b, which lies in [1, 2**W - 1], so no borrow
+    crosses a lane and the guard survives iff a.q >= scale*b: the point is
+    a member iff the result has all of G set.  Packed columns turn a step
+    in one coordinate into one add.
+
     Depth-first over the first d - 2 coordinates with two prunings:
     abandon a prefix when even the box-completion misses some row, and
     stop raising a coordinate once the zero-completion is a member (every
     later point dominates it, so the zero-completion is the only minimal
-    candidate).  The last coordinate is solved, not scanned: a row with
-    a_d = 0 that the point misses rules it out, and otherwise the least
-    feasible q_d is the largest ceil(shortfall / a_d) over the rows with
-    a_d > 0 (infinite when it does not fit the box).  Coordinate d - 1 is
-    a staircase: w*(v), the least q_d at q_{d-1} = v, does not increase
-    with v, and (prefix, v, w*(v)) is minimal in coordinates d - 1 and d
-    exactly when w*(v) < w*(v - 1) (w*(-1) counted infinite), so only
-    those corners are tested, on the prefix coordinates alone, and the
-    staircase ends at the first v with w*(v) = 0 (see the README).
+    candidate).  The last two coordinates are a staircase: w*(v), the least
+    member q_d at q_{d-1} = v (infinite when none fits the box), does not
+    increase with v, and (prefix, v, w*(v)) is minimal in coordinates
+    d - 1 and d exactly when w*(v) < w*(v - 1) (w*(-1) counted infinite).
+    So w starts one past the box and only falls: each v costs one failing
+    test plus one passing test per decrement, only the corners where w
+    fell are tested, on the prefix coordinates alone, and the staircase
+    ends at the first v with w*(v) = 0 (see the README).
     """
     d = len(bounds)
-    normals = [a for a, _ in rows]
+    if not rows:
+        return [(0,) * d]
     targets = [scale * b for _, b in rows]
-    nf = len(rows)
-    # suffix_max[f][i] = max contribution of coordinates i.. to row f
-    suffix_max = [
-        [sum(normals[f][j] * bounds[j] for j in range(i, d)) for i in range(d + 1)]
-        for f in range(nf)
-    ]
-    last = [normals[f][d - 1] for f in range(nf)]
+    width = max(
+        max(sum(map(mul, a, bounds)) for a, _ in rows), max(targets)
+    ).bit_length() + 1
+
+    def pack(values: Sequence[int]) -> int:
+        x = 0
+        for v in reversed(values):
+            x = (x << width) | v
+        return x
+
+    guard = pack([1 << (width - 1)] * len(rows))
+    target = pack(targets)
+    cols = [pack(column) for column in zip(*(a for a, _ in rows))]
+    # box[i]: every coordinate from i on at its bound
+    box = [0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        box[i] = box[i + 1] + bounds[i] * cols[i]
+    # q - e_j is a member iff a.q >= scale*b + a_j on every row
+    drop = [target + c for c in cols[: d - 2]]
+    last, top = cols[d - 1], bounds[d - 1]
     out: list[tuple[int, ...]] = []
 
-    def least_last(dots: list[int]):
-        """w*: the least feasible last coordinate, None when none fits."""
-        w = 0
-        for f in range(nf):
-            short = targets[f] - dots[f]
-            if short > 0:
-                if not last[f]:
-                    return None
-                w = max(w, -(-short // last[f]))
-        return w if w <= bounds[d - 1] else None
+    def is_minimal(q: tuple[int, ...], x: int) -> bool:
+        x |= guard
+        return not any(qj and (x - t) & guard == guard for qj, t in zip(q, drop))
 
-    def is_minimal(q: tuple[int, ...], dots: list[int]) -> bool:
-        for j in range(d - 2):
-            if q[j] and all(dots[f] - normals[f][j] >= targets[f] for f in range(nf)):
-                return False
-        return True
+    def stair(prefix: tuple[int, ...], x: int, step: int, vmax: int) -> None:
+        """Append the corners of w* over v in [0, vmax], x being the prefix's
+        packed row values; z holds those of (prefix, v, w)."""
+        w = top + 1
+        z = x + w * last
+        for v in range(vmax + 1):
+            fell = False
+            while w and (((z - last) | guard) - target) & guard == guard:
+                z -= last
+                w -= 1
+                fell = True
+            if fell:
+                q = prefix + (v, w)
+                if is_minimal(q, z):
+                    out.append(q)
+                if not w:
+                    return
+            z += step
 
-    def walk(i: int, prefix: tuple[int, ...], dots: list[int]) -> bool:
+    def walk(i: int, prefix: tuple[int, ...], x: int) -> bool:
         """Append the minimal members that extend prefix = q[:i], i <= d - 2.
         True when the zero-completion is a member: then raising q[i - 1]
         further gives only points that dominate it."""
-        if all(dots[f] >= targets[f] for f in range(nf)):
+        if ((x | guard) - target) & guard == guard:
             q = prefix + (0,) * (d - i)
-            if is_minimal(q, dots):
+            if is_minimal(q, x):
                 out.append(q)
             return True
-        if any(dots[f] + suffix_max[f][i] < targets[f] for f in range(nf)):
+        if (((x + box[i]) | guard) - target) & guard != guard:
             return False
-        col = [normals[f][i] for f in range(nf)]
+        col = cols[i]
         if i < d - 2:
             for v in range(bounds[i] + 1):
-                if walk(i + 1, prefix + (v,), [dots[f] + v * col[f] for f in range(nf)]):
+                if walk(i + 1, prefix + (v,), x):
                     break
+                x += col
             return False
-        prev = None  # w*(v - 1); None is infinite
-        for v in range(bounds[i] + 1):
-            at_v = [dots[f] + v * col[f] for f in range(nf)]
-            w = least_last(at_v)
-            if w is None or w == prev:
-                continue
-            prev = w
-            q = prefix + (v, w)
-            if is_minimal(q, [at_v[f] + w * last[f] for f in range(nf)]):
-                out.append(q)
-            if not w:
-                break
+        stair(prefix, x, col, bounds[i])
         return False
 
     if d == 1:
-        w = least_last([0] * nf)
-        return [] if w is None else [(w,)]
-    walk(0, (), [0] * nf)
+        stair((), 0, 0, 0)
+        return [q[1:] for q in out]
+    walk(0, (), 0)
     return out
 
 
@@ -486,9 +504,11 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     are found inside the box prod [0, n*M_i] with M the componentwise
     generator maxima; any lattice point of the dilation that leaves the box
     dominates one inside it (see the README for the one-paragraph
-    argument), so the scan is complete.  The walk returns exactly the
-    minimal members, an antichain, so they are only sorted into canonical
-    order, not re-minimized.
+    argument), so the scan is complete.  The walk holds every row as one
+    guard-bit lane of a single int, so each membership test reads all rows
+    at once, and walks the last two coordinates as a two-pointer
+    staircase.  It returns exactly the minimal members, an antichain, so
+    they are only sorted into canonical order, not re-minimized.
     """
     check_count(n, "n", 1)
     s = max(1, I.ring.dimension - 1)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import ge
 
 from .core import (
     MonomialIdeal,
@@ -23,7 +22,6 @@ from .core import (
     check_count,
     check_indexes,
     colon,
-    divides,
     normalize,
 )
 from .errors import InvalidInput
@@ -42,6 +40,17 @@ class MonomialPrime:
             raise InvalidInput("a monomial prime needs at least one variable")
         if list(idxs) != sorted(set(idxs)):
             raise InvalidInput("variable indexes must be strictly ascending")
+
+    @classmethod
+    def _trusted(cls, vars: tuple[int, ...]) -> "MonomialPrime":
+        """A prime whose indexes are already known to be a non-empty,
+        strictly ascending tuple of ints >= 0, built without the checks;
+        `b_star`, `associated_primes` and `minimal_primes` make their primes
+        this way.  The attribute is set as `__init__` would: writing to
+        `__dict__` directly gives each prime a full dict of its own."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        return p
 
     def sort_key(self):
         return (len(self.vars), self.vars)
@@ -102,28 +111,51 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
     irreducible components are irredundant.
 
     A component is held as its bound vector b, with `big` for a variable
-    outside its support, so C contains x^g iff g_v >= b_v for some v, and C
-    contains D iff b^C <= b^D.  A component C without x^g has g_v < b_v, so
-    C + (x_v^{g_v}) just lowers b_v to g_v.
+    outside its support, so C misses x^g iff g_v + 1 <= b_v for every v,
+    and C contains D iff b^C <= b^D.  A component C without x^g has
+    g_v < b_v, so C + (x_v^{g_v}) just lowers b_v to g_v.  Such a grown
+    component B can only contain a component whose bound at v is also g_v:
+    a kept D holds some D_u <= g_u, and b^B <= b^D forces u = v, because
+    b^B_u = b^C_u > g_u elsewhere; a component grown at u != v has bound
+    g_u < b^B_u at u.  So each v compares its grown components with each
+    other and with the kept ones whose bound at v is g_v.  No two of these
+    are equal, as their parents were pairwise incomparable.
+
+    Both comparisons are one subtraction, in `normalize`'s guard-bit
+    layout: b is packed into fields of w = big.bit_length() + 1 bits, first
+    variable highest, and kept with every field's top (guard) bit G set.
+    In (pack(b) | G) - pack(h) each field holds 2^(w-1) + b_v - h_v, with
+    0 <= h_v, b_v <= big < 2^(w-1), so no borrow crosses a field and all of
+    G survives iff h <= b.  With h = g + 1 that says C misses x^g; with h
+    the bounds of C and b those of D, that C contains D.
     """
     _require_proper_nonzero(J)
+    d = J.ring.dimension
     big = 1 + max(map(max, J.min_gens))
-    comps = [(big,) * J.ring.dimension]
+    w = big.bit_length() + 1
+    shifts = [w * (d - 1 - v) for v in range(d)]
+    value = (1 << (w - 1)) - 1
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    comps = [guard | sum(big << s for s in shifts)]
     for g in J.min_gens:
-        kept: list[tuple[int, ...]] = []
-        grown: set[tuple[int, ...]] = set()
-        for b in comps:
-            if any(map(ge, g, b)):
-                kept.append(b)
-            else:
-                grown.update(b[:v] + (e,) + b[v + 1 :] for v, e in enumerate(g) if e)
-        pool = kept + list(grown)
-        # divides(b, c) is b <= c, that is, b contains c
-        comps = kept + [
-            b for b in grown if not any(c != b and divides(b, c) for c in pool)
-        ]
+        above = sum((e + 1) << s for e, s in zip(g, shifts))
+        missed = [b for b in comps if (b - above) & guard == guard]
+        kept = [b for b in comps if (b - above) & guard != guard]
+        comps = kept[:]
+        for e, s in zip(g, shifts):
+            if not e:
+                continue
+            field, low = value << s, e << s
+            grown = [(b & ~field) | low for b in missed]
+            pool = grown + [c for c in kept if c & field == low]
+            for b in grown:
+                bare = b ^ guard
+                if not any(c != b and (c - bare) & guard == guard for c in pool):
+                    comps.append(b)
     found = (
-        IrreducibleComponent(tuple((v, e) for v, e in enumerate(b) if e < big))
+        IrreducibleComponent(
+            tuple((v, e) for v, e in enumerate((b >> s) & value for s in shifts) if e < big)
+        )
         for b in comps
     )
     return tuple(sorted(found, key=IrreducibleComponent.sort_key))
@@ -132,7 +164,7 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
 def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Ass(R/J): the supports of the irredundant irreducible components."""
     return frozenset(
-        MonomialPrime(c.support()) for c in irreducible_decomposition(J)
+        MonomialPrime._trusted(c.support()) for c in irreducible_decomposition(J)
     )
 
 
@@ -172,4 +204,4 @@ def minimal_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
                 continue
             if all(s & supp for supp in supports):
                 covers.append(s)
-    return frozenset(MonomialPrime(tuple(sorted(s))) for s in covers)
+    return frozenset(MonomialPrime._trusted(tuple(sorted(s))) for s in covers)

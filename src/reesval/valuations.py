@@ -46,7 +46,9 @@ def center(v: FacetInequality) -> MonomialPrime:
 def b_star(I: MonomialIdeal) -> BStarSet:
     """Deduplicated centers of the Rees valuations of I: the distinct
     supports of the positive-offset rows, read off `NewtonPolyhedron.rows`,
-    with one prime built per support (the rule of `center`)."""
+    with one prime built per support (the rule of `center`).  A support
+    read this way is non-empty and ascending, so the primes skip the
+    constructor's checks."""
     normals = [a for a, _ in compute_np(I).rows]  # rejects unit/zero ideals
     supports = set(map(tuple, map(compress, repeat(range(I.ring.dimension)), normals)))
-    return BStarSet(frozenset(map(MonomialPrime, supports)))
+    return BStarSet(frozenset(map(MonomialPrime._trusted, supports)))

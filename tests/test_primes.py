@@ -115,6 +115,30 @@ def test_decomposition_colon_certificates_over_corpus_closures(corpus_ideals):
                 assert equals(got, prime), (entry["id"], n, comp)
 
 
+def test_decomposition_certified_at_field_edges():
+    # bounds are packed into fields one bit wider than big = 1 + the
+    # largest exponent, so big runs through 2^k - 1 and 2^k here; the
+    # intersection and one colon witness per component certify the result
+    R1 = RingContext(("x",))
+    R6 = RingContext(("x", "y", "z", "w", "u", "v"))
+    ideals = [normalize([(e,)], R1) for e in (1, 2, 3, 6, 7, 14, 15)]
+    for top in (6, 7, 14, 15):
+        ideals.append(normalize([(top, 0), (top - 1, top - 1), (0, top)], R2))
+        ideals.append(
+            normalize([(top, 0, 0), (top - 1, 1, 0), (1, top - 1, 1), (0, 2, top)], R3)
+        )
+    unit = [tuple(int(i == v) for i in range(6)) for v in range(6)]
+    squares = [tuple(2 * e for e in g) for g in unit]
+    edges = [tuple(2 * (a + b) for a, b in zip(g, h)) for g, h in zip(unit, unit[1:] + unit[:1])]
+    ideals += [normalize(squares, R6), normalize(edges, R6), normalize(squares[:3] + edges[3:], R6)]
+    for J in ideals:
+        comps = irreducible_decomposition(J)
+        assert intersect_all([c.as_ideal(J.ring) for c in comps]) == J, J.min_gens
+        for comp in comps:
+            prime = MonomialPrime(comp.support()).as_ideal(J.ring)
+            assert colon(J, colon_witness(J, comp.bounds)) == prime, (J.min_gens, comp)
+
+
 # --- associated primes --------------------------------------------------------
 
 def test_associated_primes_x2_xy():

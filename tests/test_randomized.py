@@ -25,7 +25,7 @@ from reesval import (
     normalize,
     verify_localization,
 )
-from reesval.newton import _dual_extreme_rays, _minimal_lattice_members
+from reesval.newton import FacetInequality, _dual_extreme_rays, _minimal_lattice_members
 from oracles import (
     closure_by_power_oracle,
     colon_witness,
@@ -206,10 +206,11 @@ def closure_by_walk(ideal, n):
 
 
 def test_lattice_walk_matches_reference():
-    # the library walk solves the last coordinate in closed form and reads
-    # only the positive-offset rows; the reference scans the last coordinate
-    # and reads every facet.  Both return the same points in the same order,
-    # on the full box and on boxes cut below it.
+    # the library walk packs the positive-offset rows into guard-bit lanes
+    # and walks the last two coordinates as a two-pointer staircase; the
+    # reference scans the last coordinate and reads every facet.  Both
+    # return the same points in the same order, on the full box, on boxes
+    # cut below it and on the hand-built lane edges below.
     rng = random.Random(808)
     cases = [
         # z is absent: facets with a_z = 0, x >= 1 among them, rule out
@@ -253,6 +254,60 @@ def test_lattice_walk_matches_reference():
         np_ = compute_np(ideal)
         assert _minimal_lattice_members(np_.rows, bounds, n) == \
             minimal_lattice_members_ref(np_.facets, bounds, n), (ideal.min_gens, n, bounds)
+    for rows, bounds, scale in lane_edge_cases():
+        facets = [FacetInequality(a, b) for a, b in rows]
+        assert _minimal_lattice_members(rows, bounds, scale) == \
+            minimal_lattice_members_ref(facets, bounds, scale), (rows, bounds, scale)
+
+
+def lane_edge_cases():
+    """Hand-built (rows, bounds, scale) at the edges of the walk's packed
+    lanes, whose width is one bit more than the bit length of the largest
+    in-box a.q or target scale*b."""
+    rows3 = [((1, 1, 1), 1), ((1, 2, 0), 1), ((0, 1, 3), 1)]
+    for top in (15, 16, 63, 64):
+        # the largest in-box dot is top (rows 1 and 2 at the box corner),
+        # with targets below it
+        yield [((1, 1, 1), top // 2), ((1, 2, 0), top // 3), ((0, 1, 3), 5)], (top - 6, 3, 3), 1
+        # the largest target is top, and equals the largest dot
+        yield [((1, 1, 1), top), ((1, 2, 0), top // 3), ((0, 1, 3), 5)], (top - 6, 3, 3), 1
+        # the largest target is top, above every in-box dot: no member
+        yield rows3, (top // 4, top // 4, top // 8), top
+        # the scale makes every target top
+        yield [((1, 1), 1)], (top, top), top
+        yield [((1, 3), 1), ((3, 1), 1)], (top // 4, top // 4), top
+        # d = 1: w runs down from one past the box to the least member
+        yield [((1,), 1)], (top,), top
+        yield [((1,), 1)], (top - 1,), top
+    # no rows: the origin is the one minimal member
+    for d in (1, 2, 3):
+        yield [], (2,) * d, 1
+    # d = 2 with a missed row that has a_last = 0: no y helps below x = 3
+    yield [((1, 0), 3), ((1, 1), 4)], (5, 5), 1
+    yield [((1, 0), 3), ((1, 1), 4)], (5, 5), 2
+    yield [((1, 1, 0), 4), ((0, 0, 1), 1), ((1, 0, 2), 3)], (4, 4, 2), 1
+    # a box with q_last <= 0: the staircase starts at x + 1 * (0, 100) on
+    # 4-bit lanes, past row 1's lane, and only x itself is ever tested
+    yield [((1, 100), 2), ((2, 1), 3)], (3, 0), 1
+    # long w* plateaus: x + 10y >= 10 keeps w* = 1 for x = 0..9, and
+    # x + y + 20z >= 20 keeps w* = 1 along y at every x
+    yield [((1, 10), 10)], (12, 3), 1
+    yield [((1, 10), 10), ((2, 1), 2)], (25, 3), 2
+    yield [((1, 1, 20), 20)], (3, 25, 2), 1
+    yield [((1, 1, 20), 20), ((1, 0, 1), 1)], (3, 25, 2), 1
+
+
+def test_lattice_walk_on_a_six_variable_polyhedron():
+    # 106 rows in the packed lanes, on the full box and on one cut below it
+    rng = random.Random(24)
+    gens = [tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(rng.randint(8, 14))]
+    ideal = normalize(gens, RingContext(NAMES))
+    np_ = compute_np(ideal)
+    assert len(np_.rows) >= 50
+    full = ideal.max_exponents()
+    for bounds in (full, tuple(max(0, b - 1) for b in full)):
+        assert _minimal_lattice_members(np_.rows, bounds, 1) == \
+            minimal_lattice_members_ref(np_.facets, bounds, 1), bounds
 
 
 def test_closure_product_route_matches_walk():
