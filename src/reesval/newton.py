@@ -435,7 +435,7 @@ def _minimal_lattice_members(
     for i in range(d - 1, -1, -1):
         box[i] = box[i + 1] + bounds[i] * cols[i]
     # q - e_j is a member iff a.q >= scale*b + a_j on every row
-    drop = [target + c for c in cols[: d - 2]]
+    drop = [target + c for c in cols[: max(d - 2, 0)]]
     last, top = cols[d - 1], bounds[d - 1]
     out: list[tuple[int, ...]] = []
 

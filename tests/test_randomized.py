@@ -286,8 +286,9 @@ def lane_edge_cases():
     yield [((1, 0), 3), ((1, 1), 4)], (5, 5), 1
     yield [((1, 0), 3), ((1, 1), 4)], (5, 5), 2
     yield [((1, 1, 0), 4), ((0, 0, 1), 1), ((1, 0, 2), 3)], (4, 4, 2), 1
-    # a box with q_last <= 0: the staircase starts at x + 1 * (0, 100) on
-    # 4-bit lanes, past row 1's lane, and only x itself is ever tested
+    # a box with q_last <= 0: the staircase starts at x + 1 * LAST, and row
+    # 1's a_last = 100 carries out of its 4-bit lane into row 2's; only
+    # x itself is ever tested
     yield [((1, 100), 2), ((2, 1), 3)], (3, 0), 1
     # long w* plateaus: x + 10y >= 10 keeps w* = 1 for x = 0..9, and
     # x + y + 20z >= 20 keeps w* = 1 along y at every x
