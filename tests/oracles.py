@@ -8,10 +8,11 @@ only, minimal generators by comparing every pair entry by entry, and
 irreducible components by one colon witness each.  The lattice walk here
 reads every facet, scans every coordinate, the last one included, and
 tests minimality on all of them; the library's walk reads only the
-positive-offset rows and solves the last coordinate instead.  The
-double description here pairs every positive ray with every negative one
-and tests adjacency by scanning all rays; the library's looks partners up
-in per-constraint bitmasks instead.  The raw-power search tree here sums
+positive-offset rows, packed into guard-bit lanes, and walks the last two
+coordinates as a staircase instead.  The double description here pairs
+every positive ray with every negative one and tests adjacency by scanning
+all rays; the library's looks partners up in per-constraint bitmasks
+instead.  The raw-power search tree here sums
 the remainder at every node and builds every child tuple; the library's
 carries the degree down and reuses the remainder for a zero multiplicity.
 
