@@ -20,8 +20,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, floordiv, mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -96,6 +97,11 @@ class NewtonPolyhedron:
     def __post_init__(self) -> None:
         rows = tuple((f.normal, f.offset) for f in self.facets if f.offset > 0)
         object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """The row offsets b, in row order, kept for `vbar`'s exact min."""
+        return tuple(b for _, b in self.rows)
 
     @cached_property
     def _lanes(self) -> tuple[int, tuple[int, ...]] | None:
@@ -368,16 +374,30 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     return all(_dot(a, point) * s_den >= rhs * b for a, b in np_.rows)
 
 
-def dilation_cut(
-    rows: Iterable[tuple[Sequence[int], int]], m: Sequence[int], default: int
-) -> int:
-    """Largest n with the lattice point m >= 0 in n*NP: min over the
-    positive-offset rows (a, b) of (a.m) // b, or `default` when there is
-    no such row (then m lies in every dilation).
+def dilation_cuts(
+    rows: Iterable[tuple[Sequence[int], int]],
+    points: Sequence[tuple[int, ...]],
+    default: int,
+) -> list[int]:
+    """Largest n with the lattice point m >= 0 in n*NP, for each point m of
+    `points` in order: min over the positive-offset rows (a, b) of
+    (a.m) // b, or `default` when there is no such row (then m lies in
+    every dilation).
 
     Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
-    for b > 0, so m is in n*NP exactly when n <= dilation_cut(...)."""
-    return min((sum(map(mul, a, m)) // b for a, b in rows), default=default)
+    for b > 0, so m is in n*NP exactly when n <= its cut.  The points are
+    taken a coordinate column at a time: for each row, a.m of every point
+    is a chain of maps over the columns, and the running minimum one more
+    map.  Python ints keep every step exact, whatever the entries."""
+    columns = list(zip(*points))
+    cuts = None
+    for a, b in rows:
+        dots = repeat(0, len(points))
+        for a_j, column in zip(a, columns):
+            dots = map(add, dots, map(mul, column, repeat(a_j)))
+        floors = map(floordiv, dots, repeat(b))
+        cuts = list(floors) if cuts is None else list(map(min, cuts, floors))
+    return [default] * len(points) if cuts is None else cuts
 
 
 def _minimal_lattice_members(
@@ -531,17 +551,17 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     sum(a) * max(m) < 2**64, which keeps every lane exact), or from one
     dot product per row where that bound fails.  The minimum is then taken
     by integer cross-multiplication (offsets are positive), and only the
-    winner becomes a Fraction; no float enters.  Its floor is
-    `dilation_cut` on the same rows: the largest n with x^m in
+    winner becomes a Fraction; no float enters.  Its floor is the
+    `dilation_cuts` entry of m on the same rows: the largest n with x^m in
     closure(I^n)."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)
-    rows = np_.rows
-    if not rows:
+    offsets = np_._offsets
+    if not offsets:
         raise RuntimeError("proper nonzero ideal has no positive-offset facet")
     dots = np_._row_dots(m)
-    num, den = dots[0], rows[0][1]
-    for v, (_, b) in zip(dots, rows):
+    num, den = dots[0], offsets[0]
+    for v, b in zip(dots, offsets):
         if v * den < num * b:
             num, den = v, b
     return Fraction(num, den)

@@ -78,6 +78,17 @@ class IrreducibleComponent:
         if not bounds or idxs != sorted(set(idxs)):
             raise InvalidInput("component bounds need ascending distinct variables")
 
+    @classmethod
+    def _trusted(cls, bounds: tuple[tuple[int, int], ...]) -> "IrreducibleComponent":
+        """A component whose bounds are already known to be a non-empty tuple
+        of (index, exponent) int pairs with strictly ascending indexes >= 0
+        and exponents >= 1, built without the checks;
+        `irreducible_decomposition` makes its components this way.  The
+        attribute is set as `__init__` would, like `MonomialPrime._trusted`."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "bounds", bounds)
+        return c
+
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.bounds)
 
@@ -153,7 +164,7 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
                 if not any(c != b and (c - bare) & guard == guard for c in pool):
                     comps.append(b)
     found = (
-        IrreducibleComponent(
+        IrreducibleComponent._trusted(
             tuple((v, e) for v, e in enumerate((b >> s) & value for s in shifts) if e < big)
         )
         for b in comps

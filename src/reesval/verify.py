@@ -11,7 +11,8 @@ reached B*(I) by construction; failing to reach it raises NotStabilized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, floordiv, mul
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     saturate,
 )
 from .errors import InvalidInput, NotStabilized
-from .newton import FacetInequality, compute_np, dilation_cut, integral_closure_power
+from .newton import FacetInequality, compute_np, dilation_cuts, integral_closure_power
 from .primes import MonomialPrime, associated_primes
 from .valuations import BStarSet, b_star
 
@@ -134,15 +135,18 @@ def closure_oracle_discrepancies(
     `monomials` and then `n_values`, empty when the routes agree everywhere.
 
     The facet route is one integer per sample: m is in n*NP exactly when
-    n <= `dilation_cut`, the least (a.m) // b over the positive-offset rows
-    (a, b) of the polyhedron (offset-0 facets hold at every m >= 0).  With
-    no such row every sample is in every dilation.
+    n <= the least (a.m) // b over the positive-offset rows (a, b) of the
+    polyhedron (offset-0 facets hold at every m >= 0), computed for all
+    samples at once by `dilation_cuts`.  With no such row every sample is
+    in every dilation.
 
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
     x^{km} outside I^{kn} for every k, so those dilations are settled
-    without a search.  The other (open) dilations are settled by a k
-    ladder run from k_max down, on three monotone facts:
+    without a search.  This weight cut is taken column-wise here, by its
+    own code: a shared helper that cut too low would lower both routes
+    alike.  The other (open) dilations are settled by a k ladder run from
+    k_max down, on three monotone facts:
 
     - success at (k, n) gives success at (jk, n) for every j (raise the
       witness to the j-th power), so the top rung succeeds whenever the
@@ -155,15 +159,27 @@ def closure_oracle_discrepancies(
     At each k the route asks the largest open dilation that no recorded
     failure rules out; a success makes it and every dilation below it a
     member, a failure is recorded and the next lower one is asked.  The
-    ladder stops once every open dilation is a member.  So each n still
-    ends up a member exactly when some k <= k_max puts x^{km} in I^{kn},
-    and no question is asked whose answer the earlier ones imply.  The
-    facets are only hints for the weights, each checked against the
-    generators: a wrong, missing or weakened facet can cost searches but
-    never change an answer of this route.  On honest facets the weight cut
-    equals the facet route's integer, so the dilations left to search are
-    exactly the facet members.  The search is set up once for I
-    (`core._power_search`), and each sample is validated once.
+    ladder stops once every open dilation is a member.
+
+    Membership is also monotone in m: q <= m and x^{kq} in I^{kn} give
+    x^{km} = x^{kq} * x^{k(m-q)} in I^{kn}.  So the route keeps, for each
+    dilation n, the samples its search proved members at n (their largest
+    such n), and a sample starts its ladder above the largest open n at
+    which a kept sample divides it.  The kept samples of one n sit in
+    `normalize`'s guard-bit layout, one int per coordinate with one lane
+    per sample, so "some kept q <= m" is d subtractions and an AND.  Only
+    search answers are kept, so the result does not depend on the order
+    of `monomials`; the order only sets how many searches are skipped
+    (`sample_box` lists a divisor before its multiples).
+
+    So each n still ends up a member exactly when some k <= k_max puts
+    x^{km} in I^{kn}, and no question is asked whose answer the earlier
+    ones imply.  The facets are only hints for the weights, each checked
+    against the generators: a wrong, missing or weakened facet can cost
+    searches but never change an answer of this route.  On honest facets
+    the weight cut equals the facet route's integer, so the dilations left
+    to search are exactly the facet members.  The search is set up once
+    for I (`core._power_search`), and the samples are validated once.
     """
     check_count(k_max, "k_max", 1)
     n_values = tuple(
@@ -171,18 +187,39 @@ def closure_oracle_discrepancies(
     )
     if not n_values:
         raise InvalidInput("n_values must not be empty")
+    d = I.ring.dimension
+    samples = [check_vector(d, m) for m in check_collection(monomials, "monomials")]
     np_ = compute_np(I)
-    weights = _separating_weights(I, np_.facets)
     member = _power_search(I)
     dilations = sorted(set(n_values))
+    columns = list(zip(*samples))
+    # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
+    cuts = [dilations[-1]] * len(samples)
+    for w, b in _separating_weights(I, np_.facets):
+        dots = repeat(0, len(samples))
+        for a, column in zip(w, columns):
+            dots = map(add, dots, map(mul, column, repeat(a)))
+        cuts = list(map(min, cuts, map(floordiv, dots, repeat(b))))
+    tops = dilation_cuts(np_.rows, samples, dilations[-1])
+    # kept[n] = (one int per coordinate, the lane guard bits, lane count)
+    width = max(map(max, samples), default=0).bit_length() + 1
+    kept: dict[int, tuple[list[int], int, int]] = {}
     bad = []
-    for m in check_collection(monomials, "monomials"):
-        m = check_vector(I.ring.dimension, m)
-        # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
-        cut = min((sum(map(mul, w, m)) // b for w, b in weights), default=dilations[-1])
+    for m, cut, top in zip(samples, cuts, tops):
         open_n = [n for n in dilations if n <= cut]
-        goal = open_n[-1] if open_n else 0
         best = 0  # the members are the open dilations n <= best
+        for n in reversed(open_n):
+            if n in kept:
+                cols, guard, count = kept[n]
+                ones = guard >> (width - 1)
+                hit = guard
+                for e, c in zip(m, cols):
+                    hit &= ((e * ones) | guard) - c
+                if hit:
+                    best = n
+                    break
+        known = best
+        goal = open_n[-1] if open_n else 0
         failed: list[tuple[int, int]] = []  # (k, n): x^{km} outside I^{kn}
         for k in range(k_max, 0, -1):
             if best == goal:
@@ -197,7 +234,14 @@ def closure_oracle_discrepancies(
                     best = n
                     break
                 failed.append((k, n))
-        top = dilation_cut(np_.rows, m, dilations[-1])
+        if best > known:
+            cols, guard, count = kept.get(best, ([0] * d, 0, 0))
+            shift = count * width
+            kept[best] = (
+                [c | (e << shift) for c, e in zip(cols, m)],
+                guard | (1 << (shift + width - 1)),
+                count + 1,
+            )
         for n in n_values:
             if (n <= top) != (n <= best):
                 bad.append((m, n))

@@ -32,7 +32,7 @@ from reesval import (
     vbar,
     zero_ideal,
 )
-from reesval.newton import dilation_cut
+from reesval.newton import dilation_cuts
 from oracles import (
     closure_by_power_oracle,
     contains_ideal,
@@ -189,12 +189,37 @@ def test_dilation_cut_matches_np_contains():
             I = random_ideal(rng, d)
             np_ = compute_np(I)
             box = tuple(3 * e for e in I.max_exponents())
-            for _ in range(15):
-                m = tuple(rng.randint(0, b) for b in box)
-                cut = dilation_cut(np_.rows, m, 4)
+            points = [tuple(rng.randint(0, b) for b in box) for _ in range(15)]
+            cuts = dilation_cuts(np_.rows, points, 4)
+            assert len(cuts) == len(points)
+            for m, cut in zip(points, cuts):
                 assert type(cut) is int and cut == math.floor(vbar(I, m)), (I.min_gens, m)
                 for n in range(1, 5):
                     assert (n <= cut) == np_contains(np_, m, n), (I.min_gens, m, n)
+
+
+def test_dilation_cuts_match_a_plain_min_per_point():
+    # the column maps are exact for any int entries: negative normals and
+    # offsets, huge values, d = 1, and no rows or no points at all
+    rng = random.Random(1808)
+    for d in (1, 2, 3, 5):
+        for _ in range(30):
+            rows = [
+                (tuple(rng.randint(-9, 9) for _ in range(d)), rng.choice((-3, 1, 2, 7, 2**70)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            points = [
+                tuple(rng.choice((0, 1, 5, 3**50)) * rng.randint(0, 9) for _ in range(d))
+                for _ in range(rng.randint(0, 12))
+            ]
+            expected = [
+                min((sum(a_j * m_j for a_j, m_j in zip(a, m)) // b for a, b in rows), default=-7)
+                for m in points
+            ]
+            assert dilation_cuts(rows, points, -7) == expected, (rows, points)
+    assert dilation_cuts([((2, 1), 3)], [], 4) == []
+    assert dilation_cuts([], [(1, 2), (0, 0)], 4) == [4, 4]
+    assert dilation_cuts([((2,), 3), ((-1,), 1)], [(0,), (4,), (7,)], 9) == [0, -4, -7]
 
 
 def test_dilation_cut_without_positive_offset_row():
@@ -203,8 +228,9 @@ def test_dilation_cut_without_positive_offset_row():
     # and Fraction points and scales alike
     np_ = NewtonPolyhedron(R2, (FacetInequality((0, 1), 0),))
     assert np_.rows == ()
-    for m in product(range(3), repeat=2):
-        assert dilation_cut(np_.rows, m, 4) == 4
+    points = list(product(range(3), repeat=2))
+    assert dilation_cuts(np_.rows, points, 4) == [4] * len(points)
+    for m in points:
         for n in range(1, 5):
             assert np_contains(np_, m, n)
     for q in product((0, Fraction(1, 3), 2, Fraction(7, 2)), repeat=2):

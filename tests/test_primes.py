@@ -118,7 +118,8 @@ def test_decomposition_colon_certificates_over_corpus_closures(corpus_ideals):
 def test_decomposition_certified_at_field_edges():
     # bounds are packed into fields one bit wider than big = 1 + the
     # largest exponent, so big runs through 2^k - 1 and 2^k here; the
-    # intersection and one colon witness per component certify the result
+    # intersection and one colon witness per component certify the result,
+    # and each component holds the bounds the public constructor would check
     R1 = RingContext(("x",))
     R6 = RingContext(("x", "y", "z", "w", "u", "v"))
     ideals = [normalize([(e,)], R1) for e in (1, 2, 3, 6, 7, 14, 15)]
@@ -135,6 +136,8 @@ def test_decomposition_certified_at_field_edges():
         comps = irreducible_decomposition(J)
         assert intersect_all([c.as_ideal(J.ring) for c in comps]) == J, J.min_gens
         for comp in comps:
+            # built unchecked, so the public constructor must accept it as is
+            assert IrreducibleComponent(comp.bounds) == comp
             prime = MonomialPrime(comp.support()).as_ideal(J.ring)
             assert colon(J, colon_witness(J, comp.bounds)) == prime, (J.min_gens, comp)
 

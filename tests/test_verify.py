@@ -1,8 +1,10 @@
 """The asymptotic chain, its stabilization against the centers, and the
 localization check, including the pinned negative example."""
 
+import json
 import random
-from operator import mul
+from operator import le, mul
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -29,10 +31,11 @@ from reesval import (
     verify_localization,
 )
 from reesval.sampling import sample_box
-from reesval.newton import dilation_cut
+from reesval.newton import dilation_cuts
 from reesval.verify import _separating_weights
 from oracles import in_closure_by_powers
 
+REPO = Path(__file__).resolve().parents[1]
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
 R4 = RingContext(("x", "y", "z", "w"))
@@ -192,17 +195,36 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
-    honest = reesval.verify.dilation_cut
+    honest = reesval.verify.dilation_cuts
 
-    def flipped(rows, m, default):
-        cut = honest(rows, m, default)
-        if tuple(m) == (1, 2):
-            assert cut == 1
-            return 2
-        return cut
+    def flipped(rows, points, default):
+        cuts = honest(rows, points, default)
+        i = points.index((1, 2))
+        assert cuts[i] == 1
+        cuts[i] = 2
+        return cuts
 
-    monkeypatch.setattr(reesval.verify, "dilation_cut", flipped)
+    monkeypatch.setattr(reesval.verify, "dilation_cuts", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
+
+
+def test_closure_oracle_weight_cut_stays_off_the_facet_helper(monkeypatch):
+    # a facet helper that cuts every sample one too low must show at the
+    # dilation equal to each honest cut; were the separating-weight cut
+    # taken by the same helper, both routes would drop alike and agree
+    I = ideal_in(R2, (2, 0), (0, 3))
+    monomials = [(a, b) for a in range(7) for b in range(10)]
+    n_values = (1, 2, 3)
+    honest = reesval.verify.dilation_cuts
+    cuts = honest(compute_np(I).rows, monomials, n_values[-1])
+    expected = [(m, n) for m, cut in zip(monomials, cuts) for n in n_values if n == cut]
+    assert expected
+    monkeypatch.setattr(
+        reesval.verify,
+        "dilation_cuts",
+        lambda rows, points, default: [c - 1 for c in honest(rows, points, default)],
+    )
+    assert closure_oracle_discrepancies(I, monomials, n_values) == expected
 
 
 def recording_search(monkeypatch):
@@ -278,17 +300,85 @@ def test_closure_oracle_ladder_matches_definition_for_every_k_max(monkeypatch):
 def test_closure_oracle_asks_once_per_member_on_g38(monkeypatch):
     # in the corpus sample of g38 the least working k of every facet member
     # is 1, 2, 3 or 4, each a divisor of k_max = 12, so the ladder from the
-    # top answers each sample that has a facet member with one successful
-    # search (at its largest member n) and never fails a search; the
-    # ascending ladder failed at every k below the least one first
+    # top answers a sample with one successful search (at its largest
+    # member n, its goal) and never fails a search; the ascending ladder
+    # failed at every k below the least one first.  A member that an
+    # earlier member divides at its goal needs no search at all
     asked = recording_search(monkeypatch)
     g38 = ideal_in(R4, *G38_GENS)
     monomials = sample_box(g38.max_exponents(), 500, "1:g38-quartics-plus-xyzw")
     assert closure_oracle_discrepancies(g38, monomials) == []
-    rows = compute_np(g38).rows
-    with_member = sum(dilation_cut(rows, m, 3) >= 1 for m in monomials)
-    assert with_member
-    assert [answer for _, _, answer in asked] == [True] * with_member
+    goals = [min(cut, 3) for cut in dilation_cuts(compute_np(g38).rows, monomials, 3)]
+    searched = 0
+    for i, (m, goal) in enumerate(zip(monomials, goals)):
+        if goal >= 1 and not any(
+            goals[j] >= goal and all(map(le, monomials[j], m)) for j in range(i)
+        ):
+            searched += 1
+    assert searched == 127 and sum(goal >= 1 for goal in goals) == 469
+    assert [answer for _, _, answer in asked] == [True] * searched
+
+
+def test_closure_oracle_searches_a_goal_above_the_dominated_one(monkeypatch):
+    # on (x^2, y^2) with k = 1 only, x^3*y is a search member at n = 1 but
+    # not at n = 2, where its weight cut (3 + 1) // 2 = 2 leaves it open.
+    # x^3*y^2 above it is dominated at n = 1 only, so it must still search
+    # n = 2 (and succeeds: x^2*y^2 divides it), and a repeat of x^3*y must
+    # search n = 2 again and fail as the first copy did
+    asked = recording_search(monkeypatch)
+    I = ideal_in(R2, (2, 0), (0, 2))
+    monomials = [(3, 1), (3, 2), (3, 1)]
+    assert closure_oracle_discrepancies(I, monomials, (1, 2), 1) == [((3, 1), 2), ((3, 1), 2)]
+    assert asked == [
+        ((3, 1), 2, False),
+        ((3, 1), 1, True),
+        ((3, 2), 2, True),
+        ((3, 1), 2, False),
+    ]
+
+
+def test_closure_oracle_result_does_not_depend_on_sample_order(monkeypatch):
+    # the kept members only ever skip searches whose answer they imply, so
+    # reversed and shuffled samples give the same pairs, up to order: on
+    # the corpus at two seeds, on small random ideals at a k_max low enough
+    # that searches fail, and on polyhedra with a raised, a dropped or a
+    # negative-entry facet, where the weights leave non-members open
+    rng = random.Random(1818)
+    cases = []
+    for line in (REPO / "corpus" / "standard.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        I = normalize([tuple(g) for g in entry["gens"]], RingContext(tuple(entry["ring"])))
+        for seed in (0, 7):
+            cases.append((I, sample_box(I.max_exponents(), 500, f"{seed}:{entry['id']}"), 12, None))
+    for I in random_proper_ideals(rng, (2, 3, 4), 12):
+        monomials = sample_box(tuple(2 * e for e in I.max_exponents()), 60, f"order:{I.min_gens}")
+        facets = compute_np(I).facets
+        i = next(i for i, f in enumerate(facets) if f.offset)
+        raised = FacetInequality(facets[i].normal, facets[i].offset + 1)
+        bogus = SimpleNamespace(normal=(2,) + (-1,) * (I.ring.dimension - 1), offset=1)
+        for corrupted in (
+            None,
+            facets[:i] + (raised,) + facets[i + 1 :],
+            facets[:i] + facets[i + 1 :],
+            facets + (bogus,),
+        ):
+            np_ = corrupted and NewtonPolyhedron(I.ring, corrupted)
+            for k_max in (1, 2, 12):
+                cases.append((I, monomials, k_max, np_))
+    reordered = 0
+    for I, monomials, k_max, np_ in cases:
+        if np_ is None:
+            monkeypatch.undo()
+        else:
+            monkeypatch.setattr(reesval.verify, "compute_np", lambda _, p=np_: p)
+        expected = sorted(closure_oracle_discrepancies(I, monomials, (1, 2, 3), k_max))
+        shuffled = monomials[:]
+        rng.shuffle(shuffled)
+        for order in (monomials[::-1], shuffled):
+            got = closure_oracle_discrepancies(I, order, (1, 2, 3), k_max)
+            assert sorted(got) == expected, (I.min_gens, k_max)
+        reordered += bool(expected)
+    assert reordered
 
 
 def test_closure_oracle_rejects_bad_arguments():
