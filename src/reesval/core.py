@@ -87,6 +87,18 @@ class MonomialIdeal:
         gens = tuple(check_vector(d, g) for g in check_collection(self.min_gens, "generators"))
         object.__setattr__(self, "min_gens", gens)
 
+    @classmethod
+    def _trusted(cls, ring: RingContext, gens: tuple[tuple[int, ...], ...]) -> "MonomialIdeal":
+        """An ideal whose generators are already known to be a canonical
+        antichain of checked exponent vectors (tuples of ring.dimension
+        ints >= 0), built without the checks; `normalize` and
+        `integral_closure_power` make their ideals this way.  Attributes are
+        set one by one, as `__init__` would, like `MonomialPrime._trusted`."""
+        J = object.__new__(cls)
+        object.__setattr__(J, "ring", ring)
+        object.__setattr__(J, "min_gens", gens)
+        return J
+
     def is_zero(self) -> bool:
         return not self.min_gens
 
@@ -189,7 +201,7 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
         gens = check_collection(gens, "generators")
     seen = {check_vector(ring.dimension, g) for g in gens}
     if not seen:
-        return MonomialIdeal(ring, ())
+        return MonomialIdeal._trusted(ring, ())
     w = max(map(max, seen)).bit_length() + 1
     guard = 0
     for _ in range(ring.dimension):
@@ -209,7 +221,7 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
         else:
             mins.append(g)
             packed.append(x ^ guard)
-    return MonomialIdeal(ring, tuple(mins))
+    return MonomialIdeal._trusted(ring, tuple(mins))
 
 
 def contains_monomial(J: MonomialIdeal, m: Iterable[int]) -> bool:

@@ -19,10 +19,10 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul
+from operator import add, and_, floordiv, mul, sub
 from typing import Iterable, Sequence
 
 from .core import (
@@ -400,6 +400,58 @@ def dilation_cuts(
     return [default] * len(points) if cuts is None else cuts
 
 
+def capped_dilation_cuts(
+    rows: Iterable[tuple[Sequence[int], int]],
+    points: Sequence[tuple[int, ...]],
+    cap: int,
+) -> list[int]:
+    """The number of n in 1..cap with the lattice point m >= 0 in n*NP, for
+    each point m of `points` in order: min(cap, max(0, cut)) for m's
+    `dilation_cuts` entry cut (cap when there is no row), for cap >= 0.
+
+    Every point is one 64-bit lane of a single int, in `normalize`'s
+    guard-bit layout: COL_j holds coordinate j of every point, ONE a 1 in
+    every lane and G every lane's top bit.  For a row (a, b) with a >= 0,
+    b >= 1, sum(a) * max(m) < 2**63 and cap * b < 2**63, the packed dot
+    X = sum a_j * COL_j holds a.m < 2**63 in each lane, so in
+    (X | G) - n*b*ONE every lane holds 2**63 + a.m - n*b, which lies in
+    [1, 2**64 - 1]: no borrow crosses a lane, and the guard survives iff
+    a.m >= n*b.  The guard bits ANDed over the rows give, for each n, the
+    points in n*NP; once none is left, no larger n has one.  The masks'
+    guard bits are summed into one int, read back once.  Rows outside
+    those bounds (a negative entry, an offset below 1, or values reaching
+    2**63) take `dilation_cuts`, exact for any ints."""
+    order = sys.byteorder
+    columns = list(zip(*points))
+    top = max(map(max, columns), default=0)
+    lanes, exact = [], []
+    for a, b in rows:
+        fits = b >= 1 and min(a, default=0) >= 0
+        if fits and not (top | sum(a) * top | cap * b) >> 63:
+            lanes.append((a, b))
+        else:
+            exact.append((a, b))
+    counts = [cap] * len(points)
+    if lanes:
+        ones = int.from_bytes(array("Q", [1] * len(points)).tobytes(), order)
+        guard = ones << 63
+        cols = [int.from_bytes(array("Q", column).tobytes(), order) for column in columns]
+        xs = [sum(map(mul, cols, a)) | guard for a, _ in lanes]
+        steps = [b * ones for _, b in lanes]
+        total = 0
+        for _ in range(cap):
+            xs = list(map(sub, xs, steps))
+            mask = reduce(and_, xs, guard)
+            if not mask:
+                break
+            total += mask >> 63
+        counts = memoryview(total.to_bytes(8 * len(points), order)).cast("Q").tolist()
+    if exact:
+        floors = dilation_cuts(exact, points, cap)
+        counts = [min(c, max(0, f)) for c, f in zip(counts, floors)]
+    return counts
+
+
 def _minimal_lattice_members(
     rows: Sequence[tuple[Sequence[int], int]], bounds: Sequence[int], scale: int
 ) -> list[tuple[int, ...]]:
@@ -537,7 +589,7 @@ def integral_closure_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     np_ = compute_np(I)
     bounds = tuple(n * m for m in I.max_exponents())
     members = _minimal_lattice_members(np_.rows, bounds, n)
-    return MonomialIdeal(I.ring, tuple(sorted(members, key=monomial_key)))
+    return MonomialIdeal._trusted(I.ring, tuple(sorted(members, key=monomial_key)))
 
 
 def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:

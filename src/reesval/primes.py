@@ -150,8 +150,12 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
     comps = [guard | sum(big << s for s in shifts)]
     for g in J.min_gens:
         above = sum((e + 1) << s for e, s in zip(g, shifts))
-        missed = [b for b in comps if (b - above) & guard == guard]
-        kept = [b for b in comps if (b - above) & guard != guard]
+        missed, kept = [], []
+        for b in comps:
+            if (b - above) & guard == guard:
+                missed.append(b)
+            else:
+                kept.append(b)
         comps = kept[:]
         for e, s in zip(g, shifts):
             if not e:

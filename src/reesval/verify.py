@@ -10,9 +10,12 @@ reached B*(I) by construction; failing to reach it raises NotStabilized.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
-from operator import add, floordiv, mul
+from operator import add, and_, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -26,7 +29,12 @@ from .core import (
     saturate,
 )
 from .errors import InvalidInput, NotStabilized
-from .newton import FacetInequality, compute_np, dilation_cuts, integral_closure_power
+from .newton import (
+    FacetInequality,
+    capped_dilation_cuts,
+    compute_np,
+    integral_closure_power,
+)
 from .primes import MonomialPrime, associated_primes
 from .valuations import BStarSet, b_star
 
@@ -136,17 +144,20 @@ def closure_oracle_discrepancies(
 
     The facet route is one integer per sample: m is in n*NP exactly when
     n <= the least (a.m) // b over the positive-offset rows (a, b) of the
-    polyhedron (offset-0 facets hold at every m >= 0), computed for all
-    samples at once by `dilation_cuts`.  With no such row every sample is
-    in every dilation.
+    polyhedron (offset-0 facets hold at every m >= 0).  For all samples at
+    once, `capped_dilation_cuts` gives that integer capped at the largest
+    n asked, on one 64-bit lane per sample.  With no such row every sample
+    is in every dilation.
 
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
     x^{km} outside I^{kn} for every k, so those dilations are settled
-    without a search.  This weight cut is taken column-wise here, by its
-    own code: a shared helper that cut too low would lower both routes
-    alike.  The other (open) dilations are settled by a k ladder run from
-    k_max down, on three monotone facts:
+    without a search.  This weight cut is taken here on the same kind of
+    lanes, by its own copy of the guard-bit code: a shared helper that cut
+    too low would lower both routes alike.  A sample with no open dilation
+    is settled there, and its facet members are reported at once.  The
+    other (open) dilations are settled by a k ladder run from k_max down,
+    on three monotone facts:
 
     - success at (k, n) gives success at (jk, n) for every j (raise the
       witness to the j-th power), so the top rung succeeds whenever the
@@ -192,20 +203,50 @@ def closure_oracle_discrepancies(
     np_ = compute_np(I)
     member = _power_search(I)
     dilations = sorted(set(n_values))
+    cap = dilations[-1]
+    # the weight cut, min(cap, w.m // b) over the weights (w, b): one
+    # 64-bit lane per sample with its guard bit on top, as in
+    # `capped_dilation_cuts` (own code, see above); a weight whose values
+    # can reach 2**63 takes exact column maps (sum(w) >= 1, as b > 0, so
+    # the bound covers the sample entries too)
+    peak = max(map(max, samples), default=0)
     columns = list(zip(*samples))
-    # w.m < n*b exactly when n > w.m // b: no k puts x^{km} in I^{kn}
-    cuts = [dilations[-1]] * len(samples)
+    cuts = [cap] * len(samples)
+    lanes = []
     for w, b in _separating_weights(I, np_.facets):
-        dots = repeat(0, len(samples))
-        for a, column in zip(w, columns):
-            dots = map(add, dots, map(mul, column, repeat(a)))
-        cuts = list(map(min, cuts, map(floordiv, dots, repeat(b))))
-    tops = dilation_cuts(np_.rows, samples, dilations[-1])
+        if (sum(w) * peak | cap * b) >> 63:
+            dots = repeat(0, len(samples))
+            for a, column in zip(w, columns):
+                dots = map(add, dots, map(mul, column, repeat(a)))
+            cuts = list(map(min, cuts, map(floordiv, dots, repeat(b))))
+        else:
+            lanes.append((w, b))
+    if lanes:
+        order = sys.byteorder
+        lane_ones = int.from_bytes(array("Q", [1] * len(samples)).tobytes(), order)
+        lane_guard = lane_ones << 63
+        packed = [int.from_bytes(array("Q", column).tobytes(), order) for column in columns]
+        xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in lanes]
+        steps = [b * lane_ones for _, b in lanes]
+        total = 0
+        for _ in range(cap):
+            xs = list(map(sub, xs, steps))
+            mask = reduce(and_, xs, lane_guard)
+            if not mask:
+                break
+            total += mask >> 63
+        raw = total.to_bytes(8 * len(samples), order)
+        cuts = list(map(min, cuts, memoryview(raw).cast("Q").tolist()))
+    tops = capped_dilation_cuts(np_.rows, samples, cap)
     # kept[n] = (one int per coordinate, the lane guard bits, lane count)
-    width = max(map(max, samples), default=0).bit_length() + 1
+    width = peak.bit_length() + 1
     kept: dict[int, tuple[list[int], int, int]] = {}
     bad = []
     for m, cut, top in zip(samples, cuts, tops):
+        if cut < dilations[0]:
+            # no open dilation: the facet members are the discrepancies
+            bad.extend((m, n) for n in n_values if n <= top)
+            continue
         open_n = [n for n in dilations if n <= cut]
         best = 0  # the members are the open dilations n <= best
         for n in reversed(open_n):
@@ -219,7 +260,7 @@ def closure_oracle_discrepancies(
                     best = n
                     break
         known = best
-        goal = open_n[-1] if open_n else 0
+        goal = open_n[-1]
         failed: list[tuple[int, int]] = []  # (k, n): x^{km} outside I^{kn}
         for k in range(k_max, 0, -1):
             if best == goal:

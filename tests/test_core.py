@@ -95,6 +95,17 @@ def test_bool_entries_are_not_exponents():
             ask(J, (True, False))
 
 
+def test_public_constructor_keeps_the_checks_that_normalize_skips():
+    # normalize checks its input once and builds its result unchecked; the
+    # public constructor still rejects negative, bool and misshapen entries
+    for gens in (((1, -1),), ((True, 0),), ((0, False),), ((1, 2, 3),), ((1.0, 2),), 5):
+        with pytest.raises(InvalidInput):
+            MonomialIdeal(R2, gens)
+    for gens in ([], [(0, 0)], [(2, 0), (1, 1), (0, 3), (2, 2)]):
+        J = ideal2(*gens)
+        assert J == MonomialIdeal(R2, J.min_gens) and type(J.min_gens) is tuple
+
+
 @settings(max_examples=80, deadline=None)
 @given(gen_sets2)
 def test_normalize_idempotent_antichain_and_upset_preserving(gens):

@@ -32,7 +32,7 @@ from reesval import (
     vbar,
     zero_ideal,
 )
-from reesval.newton import dilation_cuts
+from reesval.newton import capped_dilation_cuts, dilation_cuts
 from oracles import (
     closure_by_power_oracle,
     contains_ideal,
@@ -222,6 +222,45 @@ def test_dilation_cuts_match_a_plain_min_per_point():
     assert dilation_cuts([((2,), 3), ((-1,), 1)], [(0,), (4,), (7,)], 9) == [0, -4, -7]
 
 
+def test_capped_dilation_cuts_match_the_exact_cuts():
+    # one 64-bit lane per point gives min(cap, max(0, cut)) for every
+    # point, with the exact column code taking the rows that a lane cannot
+    # hold: a negative entry, an offset below 1, or values near 2**63
+    rng = random.Random(1901)
+    big = 2**63
+    for d in range(1, 7):
+        for cap in range(1, 5):
+            for _ in range(12):
+                rows = [
+                    (tuple(rng.randint(0, 9) for _ in range(d)), rng.randint(1, 20))
+                    for _ in range(rng.randint(0, 5))
+                ]
+                if rng.random() < 0.3:
+                    rows.append((tuple(rng.randint(-4, 9) for _ in range(d)), rng.randint(1, 9)))
+                if rng.random() < 0.2:
+                    rows.append(((1,) * d, rng.choice((-2, big // cap, big // cap + 1))))
+                points = [
+                    tuple(rng.randint(0, 40) for _ in range(d))
+                    for _ in range(rng.randint(0, 30))
+                ]
+                if points and rng.random() < 0.2:
+                    points.append(tuple(rng.choice((big // d - 1, big // d, big, 3**50))
+                                        for _ in range(d)))
+                exact = dilation_cuts(rows, points, cap)
+                expected = [min(cap, max(0, c)) for c in exact]
+                assert capped_dilation_cuts(rows, points, cap) == expected, (rows, points, cap)
+    assert capped_dilation_cuts([((2, 1), 3)], [], 4) == []
+    assert capped_dilation_cuts([], [(1, 2), (0, 0)], 3) == [3, 3]
+    assert capped_dilation_cuts([((2,), 3), ((-1,), 1)], [(0,), (4,), (7,)], 9) == [0, 0, 0]
+    # at the lane edge: a.m = 2**63 - 2 in a lane, and n*b up to 2**63 - 2
+    edge = [(big // 2 - 1, big // 2 - 1), (0, 1)]
+    assert capped_dilation_cuts([((1, 1), 1)], edge, 2) == [2, 1]
+    assert capped_dilation_cuts([((1, 1), big // 2 - 1)], edge, 2) == [2, 0]
+    # just past it, the exact code: sum(a) * max(m) = 2**63, cap * b = 2**63
+    assert capped_dilation_cuts([((1, 1), 1)], [(big // 2, 0)], 3) == [3]
+    assert capped_dilation_cuts([((1,), big // 2)], [(big - 1,), (big // 2,)], 2) == [1, 1]
+
+
 def test_dilation_cut_without_positive_offset_row():
     # dropping the only positive-offset facet leaves every point in every
     # dilation; the cut is then the default, and membership holds for int
@@ -230,6 +269,7 @@ def test_dilation_cut_without_positive_offset_row():
     assert np_.rows == ()
     points = list(product(range(3), repeat=2))
     assert dilation_cuts(np_.rows, points, 4) == [4] * len(points)
+    assert capped_dilation_cuts(np_.rows, points, 4) == [4] * len(points)
     for m in points:
         for n in range(1, 5):
             assert np_contains(np_, m, n)

@@ -30,6 +30,7 @@ from reesval import (
     samuel_order,
     verify_localization,
 )
+from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP
 from reesval.sampling import sample_box
 from reesval.newton import dilation_cuts
 from reesval.verify import _separating_weights
@@ -195,16 +196,16 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
-    honest = reesval.verify.dilation_cuts
+    honest = reesval.verify.capped_dilation_cuts
 
-    def flipped(rows, points, default):
-        cuts = honest(rows, points, default)
+    def flipped(rows, points, cap):
+        cuts = honest(rows, points, cap)
         i = points.index((1, 2))
         assert cuts[i] == 1
         cuts[i] = 2
         return cuts
 
-    monkeypatch.setattr(reesval.verify, "dilation_cuts", flipped)
+    monkeypatch.setattr(reesval.verify, "capped_dilation_cuts", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
 
 
@@ -215,14 +216,14 @@ def test_closure_oracle_weight_cut_stays_off_the_facet_helper(monkeypatch):
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(7) for b in range(10)]
     n_values = (1, 2, 3)
-    honest = reesval.verify.dilation_cuts
+    honest = reesval.verify.capped_dilation_cuts
     cuts = honest(compute_np(I).rows, monomials, n_values[-1])
     expected = [(m, n) for m, cut in zip(monomials, cuts) for n in n_values if n == cut]
     assert expected
     monkeypatch.setattr(
         reesval.verify,
-        "dilation_cuts",
-        lambda rows, points, default: [c - 1 for c in honest(rows, points, default)],
+        "capped_dilation_cuts",
+        lambda rows, points, cap: [c - 1 for c in honest(rows, points, cap)],
     )
     assert closure_oracle_discrepancies(I, monomials, n_values) == expected
 
@@ -317,6 +318,35 @@ def test_closure_oracle_asks_once_per_member_on_g38(monkeypatch):
             searched += 1
     assert searched == 127 and sum(goal >= 1 for goal in goals) == 469
     assert [answer for _, _, answer in asked] == [True] * searched
+
+
+def test_closure_oracle_question_count_on_the_corpus(monkeypatch, corpus_ideals):
+    # a seed-1 corpus pass asks 316 raw-power questions, each answered True;
+    # which samples are searched depends on the two cuts alone, so the
+    # lanes that compute them must leave the count as it was
+    asked = recording_search(monkeypatch)
+    for entry, I in corpus_ideals:
+        samples = sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"1:{entry['id']}")
+        assert closure_oracle_discrepancies(I, samples, ORACLE_DILATIONS) == [], entry["id"]
+    assert len(asked) == 316
+    assert all(answer for _, _, answer in asked)
+
+
+def test_closure_oracle_reports_members_of_a_sample_it_does_not_search(monkeypatch):
+    # with 3x + 2y >= 6 the weight cuts of these samples are 0, 0, 1 and 1,
+    # all below the dilations asked, so none is searched; a facet route
+    # that puts every sample in every dilation must show at each of them
+    asked = recording_search(monkeypatch)
+    I = ideal_in(R2, (2, 0), (0, 3))
+    monomials = [(0, 0), (1, 1), (1, 2), (2, 0)]
+    n_values = (3, 2)
+    assert closure_oracle_discrepancies(I, monomials, n_values) == []
+    monkeypatch.setattr(
+        reesval.verify, "capped_dilation_cuts", lambda rows, points, cap: [cap] * len(points)
+    )
+    expected = [(m, n) for m in monomials for n in n_values]
+    assert closure_oracle_discrepancies(I, monomials, n_values) == expected
+    assert asked == []
 
 
 def test_closure_oracle_searches_a_goal_above_the_dominated_one(monkeypatch):
