@@ -605,7 +605,9 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     by integer cross-multiplication (offsets are positive), and only the
     winner becomes a Fraction; no float enters.  Its floor is the
     `dilation_cuts` entry of m on the same rows: the largest n with x^m in
-    closure(I^n)."""
+    closure(I^n).  `capped_dilation_cuts` gives that floor clamped to
+    0..cap for many points at once, on one 64-bit lane per point; the
+    closure oracle reads it there."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)
     offsets = np_._offsets

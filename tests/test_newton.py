@@ -244,8 +244,8 @@ def test_capped_dilation_cuts_match_the_exact_cuts():
                     for _ in range(rng.randint(0, 30))
                 ]
                 if points and rng.random() < 0.2:
-                    points.append(tuple(rng.choice((big // d - 1, big // d, big, 3**50))
-                                        for _ in range(d)))
+                    near = (big // d - 1, big // d, big, 3**50)
+                    points.append(tuple(rng.choice(near) for _ in range(d)))
                 exact = dilation_cuts(rows, points, cap)
                 expected = [min(cap, max(0, c)) for c in exact]
                 assert capped_dilation_cuts(rows, points, cap) == expected, (rows, points, cap)
