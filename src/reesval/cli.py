@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import time
-from concurrent import futures
 from typing import Optional, Sequence
 
 from .core import (
@@ -366,8 +365,10 @@ def run_corpus(
         corpus_entry_report, seed=seed, n_cap=n_cap, timings=timings
     )
     if jobs > 1 and len(entries) > 1:
-        # a fork pool starts every worker at the first submit; the package
-        # loads its process module (and multiprocessing) on this first use
+        # imported here, as only --jobs > 1 needs it (it loads logging);
+        # a fork pool starts every worker at the first submit
+        from concurrent import futures
+
         with futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             reports = list(pool.map(worker, entries))
     else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Sequence
 
+from . import lanes
 from .errors import InvalidInput
 
 # Desk-scale guards: box and hull enumerations are exponential in the
@@ -190,31 +191,23 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
     Keeps the componentwise-minimal vectors (an antichain) and is idempotent.
     The empty input yields the zero ideal; a zero vector yields the unit ideal.
 
-    Divisibility is one integer subtraction per pair.  Each vector is packed
-    into fields of w = max_exponent.bit_length() + 1 bits, so every entry
-    fits below its field's top bit, and G has exactly those top (guard) bits
-    set.  In (pack(g) | G) - pack(h) every field holds 2^(w-1) + g_i - h_i,
-    which lies in [1, 2^w - 1]: no borrow crosses a field, and the guard bit
-    survives iff h_i <= g_i.  So h divides g iff the result has all of G set.
+    Divisibility is one integer subtraction per pair: each vector is one
+    coordinate per guard-bit lane (`lanes`), wide enough for the largest
+    exponent, so h divides g iff ((pack(g) | G) - pack(h)) & G == G.
     """
     if not isinstance(gens, Iterator):  # an iterator is read once, not copied
         gens = check_collection(gens, "generators")
     seen = {check_vector(ring.dimension, g) for g in gens}
     if not seen:
         return MonomialIdeal._trusted(ring, ())
-    w = max(map(max, seen)).bit_length() + 1
-    guard = 0
-    for _ in range(ring.dimension):
-        guard = (guard << w) | (1 << (w - 1))
+    w = lanes.width(max(map(max, seen)))
+    guard = lanes.guards(ring.dimension, w)
     mins: list[tuple[int, ...]] = []
     packed: list[int] = []
     for g in sorted(seen, key=monomial_key):
-        x = 0
-        for e in g:
-            x = (x << w) | e
         # accepted vectors have strictly smaller degree or are incomparable,
         # so a single divisibility scan against them suffices
-        x |= guard
+        x = lanes.pack(g, w) | guard
         for p in packed:
             if (x - p) & guard == guard:
                 break

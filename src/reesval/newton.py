@@ -15,16 +15,14 @@ function min (a.m / b).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, floordiv, mul, sub
+from operator import and_, mul, sub
 from typing import Iterable, Sequence
 
+from . import lanes
 from .core import (
     MonomialIdeal,
     RingContext,
@@ -106,36 +104,29 @@ class NewtonPolyhedron:
     @cached_property
     def _lanes(self) -> tuple[int, tuple[int, ...]] | None:
         """The row normals packed for `_row_dots`: (the largest row sum,
-        one int per coordinate j with row f's a_j in bits [64f, 64f + 64)).
-        Built on first use and kept on this object.  None when there is no
-        row, or when some row sum reaches 2**64 and no m > 0 could use the
-        lanes.  Lane order is the native one of array("Q"), and reads go
-        back through the same order, so rows round-trip on any platform."""
+        one int per coordinate j with row f's a_j in 64-bit lane f of
+        `lanes`).  Built on first use and kept on this object.  None when
+        there is no row, or when some row sum reaches 2**64 and no m > 0
+        could use the lanes."""
         normals = [a for a, _ in self.rows]
         if not normals:
             return None
         widest = max(map(sum, normals))
         if widest >> 64:
             return None
-        columns = tuple(
-            int.from_bytes(array("Q", column).tobytes(), sys.byteorder)
-            for column in zip(*normals)
-        )
-        return widest, columns
+        return widest, tuple(lanes.pack(column, 64) for column in zip(*normals))
 
     def _row_dots(self, m: tuple[int, ...]) -> list[int]:
         """a.m for every row (a, b), in row order, for a checked vector m.
 
         Packed, one multiply-add per coordinate serves every row at once:
         0 <= a.m <= sum(a) * max(m) < 2**64 keeps each row's sum inside its
-        own 64-bit lane, so with non-negative terms no carry crosses a lane
-        and the lanes read back exactly.  Where that bound fails, or there
-        are no lanes, each row takes its own dot product."""
-        lanes = self._lanes
-        if lanes is not None and not (lanes[0] * max(m)) >> 64:
-            packed = sum(map(mul, lanes[1], m))
-            raw = packed.to_bytes(8 * len(self.rows), sys.byteorder)
-            return memoryview(raw).cast("Q").tolist()
+        own 64-bit lane, so the lanes read back exactly (`lanes`).  Where
+        that bound fails, or there are no lanes, each row takes its own dot
+        product."""
+        packed = self._lanes
+        if packed is not None and not (packed[0] * max(m)) >> 64:
+            return lanes.unpack(sum(map(mul, packed[1], m)), len(self.rows), 64)
         return [sum(map(mul, a, m)) for a, _ in self.rows]
 
 
@@ -374,82 +365,52 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     return all(_dot(a, point) * s_den >= rhs * b for a, b in np_.rows)
 
 
-def dilation_cuts(
-    rows: Iterable[tuple[Sequence[int], int]],
-    points: Sequence[tuple[int, ...]],
-    default: int,
-) -> list[int]:
-    """Largest n with the lattice point m >= 0 in n*NP, for each point m of
-    `points` in order: min over the positive-offset rows (a, b) of
-    (a.m) // b, or `default` when there is no such row (then m lies in
-    every dilation).
-
-    Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
-    for b > 0, so m is in n*NP exactly when n <= its cut.  The points are
-    taken a coordinate column at a time: for each row, a.m of every point
-    is a chain of maps over the columns, and the running minimum one more
-    map.  Python ints keep every step exact, whatever the entries."""
-    columns = list(zip(*points))
-    cuts = None
-    for a, b in rows:
-        dots = repeat(0, len(points))
-        for a_j, column in zip(a, columns):
-            dots = map(add, dots, map(mul, column, repeat(a_j)))
-        floors = map(floordiv, dots, repeat(b))
-        cuts = list(floors) if cuts is None else list(map(min, cuts, floors))
-    return [default] * len(points) if cuts is None else cuts
-
-
 def capped_dilation_cuts(
-    rows: Iterable[tuple[Sequence[int], int]],
+    rows: Sequence[tuple[Sequence[int], int]],
     points: Sequence[tuple[int, ...]],
     cap: int,
 ) -> list[int]:
     """The number of n in 1..cap with the lattice point m >= 0 in n*NP, for
-    each point m of `points` in order: min(cap, max(0, cut)) for m's
-    `dilation_cuts` entry cut (cap when there is no row), for cap >= 0.
+    each point m of `points` in order: min(cap, max(0, cut)) for cut the
+    least (a.m) // b over the rows (a, b), or cap when there is no row.
+    Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
+    for b > 0, so m is in n*NP exactly when n <= its cut.  Every offset b
+    must be at least 1, as in `NewtonPolyhedron.rows`; any other raises
+    InvalidInput.
 
-    Every point is one 64-bit lane of a single int, in `normalize`'s
-    guard-bit layout: COL_j holds coordinate j of every point, ONE a 1 in
-    every lane and G every lane's top bit.  For a row (a, b) with a >= 0,
-    b >= 1, sum(a) * max(m) < 2**63 and cap * b < 2**63, the packed dot
-    X = sum a_j * COL_j holds a.m < 2**63 in each lane, so in
-    (X | G) - n*b*ONE every lane holds 2**63 + a.m - n*b, which lies in
-    [1, 2**64 - 1]: no borrow crosses a lane, and the guard survives iff
-    a.m >= n*b.  The guard bits ANDed over the rows give, for each n, the
-    points in n*NP; once none is left, no larger n has one.  The masks'
-    guard bits are summed into one int, read back once.  Rows outside
-    those bounds (a negative entry, an offset below 1, or values reaching
-    2**63) take `dilation_cuts`, exact for any ints."""
-    order = sys.byteorder
+    Every point is one guard-bit lane of a single int (`lanes`): COL_j
+    holds coordinate j of every point, ONE a 1 in every lane and G every
+    lane's guard.  For a row (a, b), sum a_j * COL_j + G - n*b*ONE holds
+    2**(w-1) + a.m - n*b in every lane, a negative entry of a included, and
+    the width keeps |a.m - n*b| <= sum|a| * max(m) + cap*b off the guard, so
+    the guard survives iff a.m >= n*b.  The guard bits ANDed over the rows
+    give, for each n, the points in n*NP; once none is left, no larger n
+    has one.  The masks' guard bits are summed into one int, read back
+    once.  Lanes are at least 64 bits wide, where `lanes` packs at C
+    speed."""
+    if not rows:
+        return [cap] * len(points)
     columns = list(zip(*points))
     top = max(map(max, columns), default=0)
-    lanes, exact = [], []
+    peak = max(cap, top)
     for a, b in rows:
-        fits = b >= 1 and min(a, default=0) >= 0
-        if fits and not (top | sum(a) * top | cap * b) >> 63:
-            lanes.append((a, b))
-        else:
-            exact.append((a, b))
-    counts = [cap] * len(points)
-    if lanes:
-        ones = int.from_bytes(array("Q", [1] * len(points)).tobytes(), order)
-        guard = ones << 63
-        cols = [int.from_bytes(array("Q", column).tobytes(), order) for column in columns]
-        xs = [sum(map(mul, cols, a)) | guard for a, _ in lanes]
-        steps = [b * ones for _, b in lanes]
-        total = 0
-        for _ in range(cap):
-            xs = list(map(sub, xs, steps))
-            mask = reduce(and_, xs, guard)
-            if not mask:
-                break
-            total += mask >> 63
-        counts = memoryview(total.to_bytes(8 * len(points), order)).cast("Q").tolist()
-    if exact:
-        floors = dilation_cuts(exact, points, cap)
-        counts = [min(c, max(0, f)) for c, f in zip(counts, floors)]
-    return counts
+        if b < 1:
+            raise InvalidInput(f"row offsets must be at least 1, got {b}")
+        peak = max(peak, sum(map(abs, a)) * top + cap * b)
+    w = max(64, lanes.width(peak))
+    guard = lanes.guards(len(points), w)
+    ones = guard >> (w - 1)
+    cols = [lanes.pack(column, w) for column in columns]
+    xs = [sum(map(mul, cols, a)) + guard for a, _ in rows]
+    steps = [b * ones for _, b in rows]
+    total = 0
+    for _ in range(cap):
+        xs = list(map(sub, xs, steps))
+        mask = reduce(and_, xs, guard)
+        if not mask:
+            break
+        total += mask >> (w - 1)
+    return lanes.unpack(total, len(points), w)
 
 
 def _minimal_lattice_members(
@@ -463,14 +424,11 @@ def _minimal_lattice_members(
     a.(q - e_j) >= 0 hold, so such a facet never prunes a prefix, never
     sets the last coordinate and never decides minimality.
 
-    Every row is one lane of a single int, in `normalize`'s guard-bit
-    layout: a point's row values a.q sit in lanes of W bits, W one more
-    than the bit length of the largest in-box a.q or target scale*b, and G
-    has each lane's top bit set.  In (X | G) - T every lane holds
-    2**(W-1) + a.q - scale*b, which lies in [1, 2**W - 1], so no borrow
-    crosses a lane and the guard survives iff a.q >= scale*b: the point is
-    a member iff the result has all of G set.  Packed columns turn a step
-    in one coordinate into one add.
+    Every row is one guard-bit lane of a single int (`lanes`), wide enough
+    for the largest in-box a.q and target scale*b: with X a point's packed
+    row values and T the packed targets, the point is a member iff
+    ((X | G) - T) & G == G.  Packed columns turn a step in one coordinate
+    into one add.
 
     Depth-first over the first d - 2 coordinates with two prunings:
     abandon a prefix when even the box-completion misses some row, and
@@ -489,19 +447,10 @@ def _minimal_lattice_members(
     if not rows:
         return [(0,) * d]
     targets = [scale * b for _, b in rows]
-    width = max(
-        max(sum(map(mul, a, bounds)) for a, _ in rows), max(targets)
-    ).bit_length() + 1
-
-    def pack(values: Sequence[int]) -> int:
-        x = 0
-        for v in reversed(values):
-            x = (x << width) | v
-        return x
-
-    guard = pack([1 << (width - 1)] * len(rows))
-    target = pack(targets)
-    cols = [pack(column) for column in zip(*(a for a, _ in rows))]
+    w = lanes.width(max(max(sum(map(mul, a, bounds)) for a, _ in rows), max(targets)))
+    guard = lanes.guards(len(rows), w)
+    target = lanes.pack(targets, w)
+    cols = [lanes.pack(column, w) for column in zip(*(a for a, _ in rows))]
     # box[i]: every coordinate from i on at its bound
     box = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
@@ -603,10 +552,9 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     sum(a) * max(m) < 2**64, which keeps every lane exact), or from one
     dot product per row where that bound fails.  The minimum is then taken
     by integer cross-multiplication (offsets are positive), and only the
-    winner becomes a Fraction; no float enters.  Its floor is the
-    `dilation_cuts` entry of m on the same rows: the largest n with x^m in
-    closure(I^n).  `capped_dilation_cuts` gives that floor clamped to
-    0..cap for many points at once, on one 64-bit lane per point; the
+    winner becomes a Fraction; no float enters.  Its floor is the largest
+    n with x^m in closure(I^n).  `capped_dilation_cuts` gives that floor
+    clamped to 0..cap for many points at once, on one lane per point; the
     closure oracle reads it there."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)

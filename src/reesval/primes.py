@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import lanes
 from .core import (
     MonomialIdeal,
     RingContext,
@@ -132,24 +133,21 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
     other and with the kept ones whose bound at v is g_v.  No two of these
     are equal, as their parents were pairwise incomparable.
 
-    Both comparisons are one subtraction, in `normalize`'s guard-bit
-    layout: b is packed into fields of w = big.bit_length() + 1 bits, first
-    variable highest, and kept with every field's top (guard) bit G set.
-    In (pack(b) | G) - pack(h) each field holds 2^(w-1) + b_v - h_v, with
-    0 <= h_v, b_v <= big < 2^(w-1), so no borrow crosses a field and all of
-    G survives iff h <= b.  With h = g + 1 that says C misses x^g; with h
-    the bounds of C and b those of D, that C contains D.
+    Both comparisons are one subtraction: b is one variable per guard-bit
+    lane (`lanes`), wide enough for `big`, and kept with every guard bit G
+    set, so all of G survives in (pack(b) | G) - pack(h) iff h <= b.  With
+    h = g + 1 that says C misses x^g; with h the bounds of C and b those
+    of D, that C contains D.
     """
     _require_proper_nonzero(J)
     d = J.ring.dimension
     big = 1 + max(map(max, J.min_gens))
-    w = big.bit_length() + 1
-    shifts = [w * (d - 1 - v) for v in range(d)]
+    w = lanes.width(big)
     value = (1 << (w - 1)) - 1
-    guard = sum(1 << (s + w - 1) for s in shifts)
-    comps = [guard | sum(big << s for s in shifts)]
+    guard = lanes.guards(d, w)
+    comps = [guard | lanes.pack([big] * d, w)]
     for g in J.min_gens:
-        above = sum((e + 1) << s for e, s in zip(g, shifts))
+        above = lanes.pack([e + 1 for e in g], w)
         missed, kept = [], []
         for b in comps:
             if (b - above) & guard == guard:
@@ -157,10 +155,10 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
             else:
                 kept.append(b)
         comps = kept[:]
-        for e, s in zip(g, shifts):
+        for v, e in enumerate(g):
             if not e:
                 continue
-            field, low = value << s, e << s
+            field, low = value << (v * w), e << (v * w)
             grown = [(b & ~field) | low for b in missed]
             pool = grown + [c for c in kept if c & field == low]
             for b in grown:
@@ -169,7 +167,7 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
                     comps.append(b)
     found = (
         IrreducibleComponent._trusted(
-            tuple((v, e) for v, e in enumerate((b >> s) & value for s in shifts) if e < big)
+            tuple((v, e) for v, e in enumerate(lanes.unpack(b ^ guard, d, w)) if e < big)
         )
         for b in comps
     )

@@ -10,14 +10,12 @@ reached B*(I) by construction; failing to reach it raises NotStabilized.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add, and_, floordiv, mul, sub
+from operator import and_, mul, sub
 from typing import Iterable, Optional, Sequence
 
+from . import lanes
 from .core import (
     MonomialIdeal,
     _power_search,
@@ -146,18 +144,18 @@ def closure_oracle_discrepancies(
     n <= the least (a.m) // b over the positive-offset rows (a, b) of the
     polyhedron (offset-0 facets hold at every m >= 0).  For all samples at
     once, `capped_dilation_cuts` gives that integer capped at the largest
-    n asked, on one 64-bit lane per sample.  With no such row every sample
-    is in every dilation.
+    n asked, on one guard-bit lane per sample.  With no such row every
+    sample is in every dilation.
 
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
     x^{km} outside I^{kn} for every k, so those dilations are settled
     without a search.  This weight cut is taken here on the same kind of
-    lanes, by its own copy of the guard-bit code: a shared helper that cut
-    too low would lower both routes alike.  A sample with no open dilation
-    is settled there, and its facet members are reported at once.  The
-    other (open) dilations are settled by a k ladder run from k_max down,
-    on three monotone facts:
+    lanes, by its own mask loop: a shared helper that cut too low would
+    lower both routes alike.  A sample with no open dilation is settled
+    there, and its facet members are reported at once.  The other (open)
+    dilations are settled by a k ladder run from k_max down, on three
+    monotone facts:
 
     - success at (k, n) gives success at (jk, n) for every j (raise the
       witness to the j-th power), so the top rung succeeds whenever the
@@ -177,8 +175,8 @@ def closure_oracle_discrepancies(
     dilation n, the samples its search proved members at n (their largest
     such n), and a sample starts its ladder above the largest open n at
     which a kept sample divides it.  The kept samples of one n sit in
-    `normalize`'s guard-bit layout, one int per coordinate with one lane
-    per sample, so "some kept q <= m" is d subtractions and an AND.  Only
+    guard-bit lanes (`lanes`), one int per coordinate with one lane per
+    sample, so "some kept q <= m" is d subtractions and an AND.  Only
     search answers are kept, so the result does not depend on the order
     of `monomials`; the order only sets how many searches are skipped
     (`sample_box` lists a divisor before its multiples).
@@ -205,41 +203,31 @@ def closure_oracle_discrepancies(
     dilations = sorted(set(n_values))
     cap = dilations[-1]
     # the weight cut, min(cap, w.m // b) over the weights (w, b): one
-    # 64-bit lane per sample with its guard bit on top, as in
-    # `capped_dilation_cuts` (own code, see above); a weight whose values
-    # can reach 2**63 takes exact column maps (sum(w) >= 1, as b > 0, so
-    # the bound covers the sample entries too)
+    # guard-bit lane per sample, as in `capped_dilation_cuts` (own mask
+    # loop, see above); w >= 0 and b >= 1, and sum(w) >= 1, so the peak
+    # covers the sample entries, every w.m and every n*b
     peak = max(map(max, samples), default=0)
-    columns = list(zip(*samples))
+    weights = _separating_weights(I, np_.facets)
     cuts = [cap] * len(samples)
-    lanes = []
-    for w, b in _separating_weights(I, np_.facets):
-        if (sum(w) * peak | cap * b) >> 63:
-            dots = repeat(0, len(samples))
-            for a, column in zip(w, columns):
-                dots = map(add, dots, map(mul, column, repeat(a)))
-            cuts = list(map(min, cuts, map(floordiv, dots, repeat(b))))
-        else:
-            lanes.append((w, b))
-    if lanes:
-        order = sys.byteorder
-        lane_ones = int.from_bytes(array("Q", [1] * len(samples)).tobytes(), order)
-        lane_guard = lane_ones << 63
-        packed = [int.from_bytes(array("Q", column).tobytes(), order) for column in columns]
-        xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in lanes]
-        steps = [b * lane_ones for _, b in lanes]
+    if weights:
+        widest = max(max(sum(w) * peak, cap * b) for w, b in weights)
+        lane_width = max(64, lanes.width(widest))
+        lane_guard = lanes.guards(len(samples), lane_width)
+        lane_ones = lane_guard >> (lane_width - 1)
+        packed = [lanes.pack(column, lane_width) for column in zip(*samples)]
+        xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in weights]
+        steps = [b * lane_ones for _, b in weights]
         total = 0
         for _ in range(cap):
             xs = list(map(sub, xs, steps))
             mask = reduce(and_, xs, lane_guard)
             if not mask:
                 break
-            total += mask >> 63
-        raw = total.to_bytes(8 * len(samples), order)
-        cuts = list(map(min, cuts, memoryview(raw).cast("Q").tolist()))
+            total += mask >> (lane_width - 1)
+        cuts = lanes.unpack(total, len(samples), lane_width)
     tops = capped_dilation_cuts(np_.rows, samples, cap)
     # kept[n] = (one int per coordinate, the lane guard bits, lane count)
-    width = peak.bit_length() + 1
+    width = lanes.width(peak)
     kept: dict[int, tuple[list[int], int, int]] = {}
     bad = []
     for m, cut, top in zip(samples, cuts, tops):

@@ -15,6 +15,8 @@ all rays; the library's looks partners up in per-constraint bitmasks
 instead.  The raw-power search tree here sums
 the remainder at every node and builds every child tuple; the library's
 carries the degree down and reuses the remainder for a zero multiplicity.
+The dilation cuts here are exact column maps for any int rows; the
+library's capped cuts are guard-bit masks over one lane per point.
 
 The ideal sum, intersection and containment at the end are helpers that
 only the tests use; they build on the library's `normalize`.
@@ -23,8 +25,9 @@ only the tests use; they build on the library's `normalize`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product, repeat
 from math import gcd
+from operator import add, floordiv, mul
 
 from reesval import (
     MonomialIdeal,
@@ -321,6 +324,25 @@ def minimal_lattice_members_ref(facets, bounds, scale) -> list[tuple[int, ...]]:
 
     walk(0, (), [0] * nf)
     return out
+
+
+def dilation_cuts(rows, points, default: int) -> list[int]:
+    """Largest n with the lattice point m >= 0 in n*NP, for each point m of
+    `points` in order: min over the rows (a, b) of (a.m) // b, or `default`
+    when there is no row (then m lies in every dilation).
+
+    For each row, a.m of every point is a chain of maps over the coordinate
+    columns, and the running minimum one more map.  Python ints keep every
+    step exact, whatever the entries, negative ones included."""
+    columns = list(zip(*points))
+    cuts = None
+    for a, b in rows:
+        dots = repeat(0, len(points))
+        for a_j, column in zip(a, columns):
+            dots = map(add, dots, map(mul, column, repeat(a_j)))
+        floors = map(floordiv, dots, repeat(b))
+        cuts = list(floors) if cuts is None else list(map(min, cuts, floors))
+    return [default] * len(points) if cuts is None else cuts
 
 
 def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent import futures
 from contextlib import redirect_stdout
 
 import pytest
@@ -464,7 +465,7 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
     path = write_corpus(tmp_path, [
         json.dumps({"id": f"e{i}", "ring": ["x", "y"], "gens": [[i, 0], [0, 3]]})
         for i in (1, 2, 3)
@@ -478,17 +479,18 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only --jobs > 1 uses the pool, so importing the CLI (as every command
-    # and the benchmark's set-up do) must not load multiprocessing
+    # and the benchmark's set-up do) must not load concurrent.futures (and
+    # with it logging) or multiprocessing
     code = (
-        "import sys; import reesval.cli; "
-        "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
+        "import sys; import reesval.cli; print(*(name in sys.modules for name in "
+        "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False", "False", "False"]
 
 
 def test_corpus_run_keeps_one_polyhedron():

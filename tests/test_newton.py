@@ -32,10 +32,11 @@ from reesval import (
     vbar,
     zero_ideal,
 )
-from reesval.newton import capped_dilation_cuts, dilation_cuts
+from reesval.newton import capped_dilation_cuts
 from oracles import (
     closure_by_power_oracle,
     contains_ideal,
+    dilation_cuts,
     facets_bruteforce,
     monomial_in_power_ref,
     rational_rank,
@@ -223,9 +224,10 @@ def test_dilation_cuts_match_a_plain_min_per_point():
 
 
 def test_capped_dilation_cuts_match_the_exact_cuts():
-    # one 64-bit lane per point gives min(cap, max(0, cut)) for every
-    # point, with the exact column code taking the rows that a lane cannot
-    # hold: a negative entry, an offset below 1, or values near 2**63
+    # one lane per point gives min(cap, max(0, cut)) for every point, with
+    # rows that have a negative entry and values near or past 2**63 (wider
+    # lanes); an offset below 1 is no row of any NewtonPolyhedron and
+    # raises
     rng = random.Random(1901)
     big = 2**63
     for d in range(1, 7):
@@ -246,6 +248,10 @@ def test_capped_dilation_cuts_match_the_exact_cuts():
                 if points and rng.random() < 0.2:
                     near = (big // d - 1, big // d, big, 3**50)
                     points.append(tuple(rng.choice(near) for _ in range(d)))
+                if any(b < 1 for _, b in rows):
+                    with pytest.raises(InvalidInput):
+                        capped_dilation_cuts(rows, points, cap)
+                    rows = [(a, b) for a, b in rows if b >= 1]
                 exact = dilation_cuts(rows, points, cap)
                 expected = [min(cap, max(0, c)) for c in exact]
                 assert capped_dilation_cuts(rows, points, cap) == expected, (rows, points, cap)
@@ -256,9 +262,16 @@ def test_capped_dilation_cuts_match_the_exact_cuts():
     edge = [(big // 2 - 1, big // 2 - 1), (0, 1)]
     assert capped_dilation_cuts([((1, 1), 1)], edge, 2) == [2, 1]
     assert capped_dilation_cuts([((1, 1), big // 2 - 1)], edge, 2) == [2, 0]
-    # just past it, the exact code: sum(a) * max(m) = 2**63, cap * b = 2**63
+    # just past it, lanes wider than 64 bits: sum(a) * max(m) = 2**63,
+    # cap * b = 2**63
     assert capped_dilation_cuts([((1, 1), 1)], [(big // 2, 0)], 3) == [3]
     assert capped_dilation_cuts([((1,), big // 2)], [(big - 1,), (big // 2,)], 2) == [1, 1]
+    # a.m near -2**64 in one lane: the width covers the negative part of a,
+    # so no borrow reaches the next lane, which sits at a.m = n*b
+    assert capped_dilation_cuts([((1, -2), 1)], [(0, big - 1), (1, 0)], 2) == [0, 1]
+    for b in (0, -2):
+        with pytest.raises(InvalidInput):
+            capped_dilation_cuts([((2, 1), 3), ((1, 1), b)], [], 4)
 
 
 def test_dilation_cut_without_positive_offset_row():

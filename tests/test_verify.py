@@ -32,9 +32,8 @@ from reesval import (
 )
 from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP
 from reesval.sampling import sample_box
-from reesval.newton import dilation_cuts
 from reesval.verify import _separating_weights
-from oracles import in_closure_by_powers
+from oracles import dilation_cuts, in_closure_by_powers
 
 REPO = Path(__file__).resolve().parents[1]
 R2 = RingContext(("x", "y"))
@@ -156,6 +155,10 @@ def test_closure_oracle_agreement_small():
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
+    # entries near and past 2**63 put both cuts on lanes wider than 64 bits
+    big = 2**63
+    huge = [(big, 0), (0, big - 1), (big, 3 * big), (1, 1), (2, 3**45)]
+    assert closure_oracle_discrepancies(I, huge) == []
 
 
 def test_closure_oracle_matches_literal_definition():
