@@ -97,11 +97,6 @@ class NewtonPolyhedron:
         object.__setattr__(self, "rows", rows)
 
     @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        """The row offsets b, in row order, kept for `vbar`'s exact min."""
-        return tuple(b for _, b in self.rows)
-
-    @cached_property
     def _lanes(self) -> tuple[int, tuple[int, ...]] | None:
         """The row normals packed for `_row_dots`: (the largest row sum,
         one int per coordinate j with row f's a_j in 64-bit lane f of
@@ -558,12 +553,12 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     closure oracle reads it there."""
     np_ = compute_np(I)
     m = check_vector(I.ring.dimension, m)
-    offsets = np_._offsets
-    if not offsets:
+    rows = np_.rows
+    if not rows:
         raise RuntimeError("proper nonzero ideal has no positive-offset facet")
     dots = np_._row_dots(m)
-    num, den = dots[0], offsets[0]
-    for v, b in zip(dots, offsets):
+    num, den = dots[0], rows[0][1]
+    for v, (_, b) in zip(dots, rows):
         if v * den < num * b:
             num, den = v, b
     return Fraction(num, den)

@@ -152,29 +152,20 @@ def closure_oracle_discrepancies(
     x^{km} outside I^{kn} for every k, so those dilations are settled
     without a search.  This weight cut is taken here on the same kind of
     lanes, by its own mask loop: a shared helper that cut too low would
-    lower both routes alike.  A sample with no open dilation is settled
-    there, and its facet members are reported at once.  The other (open)
-    dilations are settled by a k ladder run from k_max down, on three
-    monotone facts:
-
-    - success at (k, n) gives success at (jk, n) for every j (raise the
-      witness to the j-th power), so the top rung succeeds whenever the
-      least working k divides k_max;
-    - success at (k, n) gives success at every n' <= n (I^{kn} is inside
-      I^{kn'});
-    - so failure at (k', n') gives failure at (k, n) whenever k divides k'
-      and n >= n', and such a (k, n) is skipped.
-
-    At each k the route asks the largest open dilation that no recorded
-    failure rules out; a success makes it and every dilation below it a
-    member, a failure is recorded and the next lower one is asked.  The
-    ladder stops once every open dilation is a member.
+    lower both routes alike.  The other (open) dilations of a sample are
+    walked from the largest down, and the first member ends the walk:
+    success at (k, n) gives success at every n' <= n, since I^{kn} is
+    inside I^{kn'}.  At each n the route asks the rungs k = k_max,
+    k_max - 1, ..., k_max // 2 + 1 in turn, stopping at the first
+    success.  That is the whole k range: success at k gives success at
+    every multiple of k (raise the witness to a power), and every
+    k <= k_max divides some rung (double it until it passes k_max / 2).
 
     Membership is also monotone in m: q <= m and x^{kq} in I^{kn} give
     x^{km} = x^{kq} * x^{k(m-q)} in I^{kn}.  So the route keeps, for each
     dilation n, the samples its search proved members at n (their largest
-    such n), and a sample starts its ladder above the largest open n at
-    which a kept sample divides it.  The kept samples of one n sit in
+    such n), and a kept sample that divides m settles an n of m's walk
+    without a search.  The kept samples of one n sit in
     guard-bit lanes (`lanes`), one int per coordinate with one lane per
     sample, so "some kept q <= m" is d subtractions and an AND.  Only
     search answers are kept, so the result does not depend on the order
@@ -226,51 +217,34 @@ def closure_oracle_discrepancies(
             total += mask >> (lane_width - 1)
         cuts = lanes.unpack(total, len(samples), lane_width)
     tops = capped_dilation_cuts(np_.rows, samples, cap)
+    # opens[cut]: the open dilations of a sample with that weight cut,
+    # largest first; rungs: k_max down to the top half's least k
+    opens = [[n for n in reversed(dilations) if n <= cut] for cut in range(cap + 1)]
+    rungs = range(k_max, k_max // 2, -1)
     # kept[n] = (one int per coordinate, the lane guard bits, lane count)
     width = lanes.width(peak)
     kept: dict[int, tuple[list[int], int, int]] = {}
     bad = []
     for m, cut, top in zip(samples, cuts, tops):
-        if cut < dilations[0]:
-            # no open dilation: the facet members are the discrepancies
-            bad.extend((m, n) for n in n_values if n <= top)
-            continue
-        open_n = [n for n in dilations if n <= cut]
-        best = 0  # the members are the open dilations n <= best
-        for n in reversed(open_n):
-            if n in kept:
-                cols, guard, count = kept[n]
-                ones = guard >> (width - 1)
-                hit = guard
-                for e, c in zip(m, cols):
-                    hit &= ((e * ones) | guard) - c
-                if hit:
-                    best = n
-                    break
-        known = best
-        goal = open_n[-1]
-        failed: list[tuple[int, int]] = []  # (k, n): x^{km} outside I^{kn}
-        for k in range(k_max, 0, -1):
-            if best == goal:
+        best = 0  # the largest member dilation
+        for n in opens[cut]:
+            cols, guard, count = kept.get(n, ([0] * d, 0, 0))
+            hit = guard
+            ones = guard >> (width - 1)
+            for e, c in zip(m, cols):
+                hit &= ((e * ones) | guard) - c
+            if hit:
+                best = n
                 break
-            km = tuple(k * e for e in m)
-            for n in reversed(open_n):
-                if n <= best:
-                    break
-                if any(kf % k == 0 and nf <= n for kf, nf in failed):
-                    continue
-                if member(km, k * n):
-                    best = n
-                    break
-                failed.append((k, n))
-        if best > known:
-            cols, guard, count = kept.get(best, ([0] * d, 0, 0))
-            shift = count * width
-            kept[best] = (
-                [c | (e << shift) for c, e in zip(cols, m)],
-                guard | (1 << (shift + width - 1)),
-                count + 1,
-            )
+            if any(member(tuple(k * e for e in m), k * n) for k in rungs):
+                best = n
+                shift = count * width
+                kept[n] = (
+                    [c | (e << shift) for c, e in zip(cols, m)],
+                    guard | (1 << (shift + width - 1)),
+                    count + 1,
+                )
+                break
         for n in n_values:
             if (n <= top) != (n <= best):
                 bad.append((m, n))

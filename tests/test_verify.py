@@ -251,13 +251,14 @@ def recording_search(monkeypatch):
 
 
 def test_closure_oracle_ladder_matches_definition_for_every_k_max(monkeypatch):
-    # The k ladder runs from k_max down and skips what monotonicity
-    # decides.  For every k_max it must answer by the definition, and it
-    # must never ask what its earlier answers on the same sample imply:
-    # success at (k', n') gives success at (k, n) when k' | k and n <= n',
-    # failure at (k', n') gives failure at (k, n) when k | k' and n >= n'.
-    # On (x^a, y^a), m = (p, q) with p + q = n*a is a member only for k
-    # with a | k*p, so the least working k runs through 2..6.
+    # The k ladder asks only the rungs above k_max / 2, from the top, since
+    # every k <= k_max divides one of them.  For every k_max it must answer
+    # by the definition, and it must never ask what its earlier answers on
+    # the same sample imply: success at (k', n') gives success at (k, n)
+    # when k' | k and n <= n', failure at (k', n') gives failure at (k, n)
+    # when k | k' and n >= n'.  Nor does it ask an n below one that
+    # succeeded.  On (x^a, y^a), m = (p, q) with p + q = n*a is a member
+    # only for k with a | k*p, so the least working k runs through 2..6.
     asked = recording_search(monkeypatch)
     n_values = (3, 1, 2)
     cases = [
@@ -293,11 +294,14 @@ def test_closure_oracle_ladder_matches_definition_for_every_k_max(monkeypatch):
                 for km, t, answer in asked:
                     k = next(a // b for a, b in zip(km, m) if b)
                     n = t // k
+                    assert k_max // 2 < k <= k_max, (I.min_gens, m, k_max, asked)
                     for k2, n2, answer2 in answers:
                         implied_yes = answer2 and k % k2 == 0 and n <= n2
                         implied_no = not answer2 and k2 % k == 0 and n >= n2
                         assert not implied_yes and not implied_no, (I.min_gens, m, k_max, asked)
                     answers.append((k, n, answer))
+                succeeded = max((n for _, n, answer in answers if answer), default=0)
+                assert all(n >= succeeded for _, n, _ in answers), (I.min_gens, m, k_max, asked)
     assert set(range(2, 7)) <= least_ks
 
 
@@ -323,15 +327,16 @@ def test_closure_oracle_asks_once_per_member_on_g38(monkeypatch):
     assert [answer for _, _, answer in asked] == [True] * searched
 
 
-def test_closure_oracle_question_count_on_the_corpus(monkeypatch, corpus_ideals):
-    # a seed-1 corpus pass asks 316 raw-power questions, each answered True;
-    # which samples are searched depends on the two cuts alone, so the
-    # lanes that compute them must leave the count as it was
+@pytest.mark.parametrize("seed, questions", [(0, 305), (1, 316), (7, 319)])
+def test_closure_oracle_question_count_on_the_corpus(monkeypatch, corpus_ideals, seed, questions):
+    # a corpus pass asks these many raw-power questions, each answered
+    # True; which samples are searched depends on the two cuts alone, so
+    # the lanes that compute them must leave the count as it was
     asked = recording_search(monkeypatch)
     for entry, I in corpus_ideals:
-        samples = sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"1:{entry['id']}")
+        samples = sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"{seed}:{entry['id']}")
         assert closure_oracle_discrepancies(I, samples, ORACLE_DILATIONS) == [], entry["id"]
-    assert len(asked) == 316
+    assert len(asked) == questions
     assert all(answer for _, _, answer in asked)
 
 
