@@ -329,7 +329,7 @@ def test_closure_oracle_asks_once_per_member_on_g38(monkeypatch):
 
 @pytest.mark.parametrize("seed, questions", [(0, 305), (1, 316), (7, 319)])
 def test_closure_oracle_question_count_on_the_corpus(monkeypatch, corpus_ideals, seed, questions):
-    # a corpus pass asks these many raw-power questions, each answered
+    # a corpus pass asks this many raw-power questions, each answered
     # True; which samples are searched depends on the two cuts alone, so
     # the lanes that compute them must leave the count as it was
     asked = recording_search(monkeypatch)
