@@ -16,8 +16,7 @@ can be shared across workers and cached freely.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Sequence
 
 from . import lanes
@@ -29,13 +28,78 @@ MAX_DIMENSION = 6
 MAX_INPUT_EXPONENT = 12
 
 
-@dataclass(frozen=True)
-class RingContext:
+class Record:
+    """Base of the package's immutable value objects.
+
+    A subclass names its fields in `__match_args__` and stores them in
+    `__slots__`, which may add derived slots.  Built by position or
+    keyword, an instance runs `_check`, which validates its fields and may
+    replace them with canonical values.  `_trusted(*fields)`, made for
+    each subclass when it is defined, builds one from values already known
+    to be valid and canonical, without the check.  Equality (same class,
+    equal fields), hashing, `repr` and pickling read the fields alone.
+    Setting or deleting an attribute raises AttributeError, and pickle and
+    copy rebuild through the checked constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # one C call reads every field; each slot's own descriptor writes
+        # its field past the raising __setattr__, and the first field is
+        # written outside the loop, which a one-field record then skips
+        cls._values = attrgetter(*cls.__match_args__)
+        first, *rest = (cls.__dict__[name].__set__ for name in cls.__match_args__)
+
+        def _trusted(value, *values):
+            obj = object.__new__(cls)
+            first(obj, value)
+            if values:
+                for setter, value in zip(rest, values):
+                    setter(obj, value)
+            return obj
+
+        cls._trusted = staticmethod(_trusted)
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__match_args__
+        args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs) if kwargs else ()
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+        obj = cls._trusted(*args)
+        obj._check()
+        return obj
+
+    def _check(self) -> None:
+        """Validate, and canonicalize, the fields; nothing by default."""
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class RingContext(Record):
     """Ambient polynomial ring, identified by its ordered variable names."""
 
+    __slots__ = __match_args__ = ("variable_names",)
     variable_names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         names = check_collection(self.variable_names, "variable names")
         object.__setattr__(self, "variable_names", names)
         if not 1 <= len(names) <= MAX_DIMENSION:
@@ -71,34 +135,23 @@ def divides(a: Sequence[int], m: Sequence[int]) -> bool:
     return all(map(le, a, m))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Ring plus the canonical antichain of minimal generators.
 
     The empty generator tuple encodes the zero ideal; the single all-zero
-    vector encodes the unit ideal.  Build instances through `normalize`,
-    which canonicalizes arbitrary generating sets.
+    vector encodes the unit ideal.  The constructor canonicalizes any
+    generating set through `normalize`, so MonomialIdeal(R, gens) ==
+    normalize(gens, R).  `normalize` and `integral_closure_power` build
+    their ideals with `_trusted(ring, gens)`, from a canonical antichain of
+    checked exponent vectors.
     """
 
+    __slots__ = __match_args__ = ("ring", "min_gens")
     ring: RingContext
     min_gens: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        d = self.ring.dimension
-        gens = tuple(check_vector(d, g) for g in check_collection(self.min_gens, "generators"))
-        object.__setattr__(self, "min_gens", gens)
-
-    @classmethod
-    def _trusted(cls, ring: RingContext, gens: tuple[tuple[int, ...], ...]) -> "MonomialIdeal":
-        """An ideal whose generators are already known to be a canonical
-        antichain of checked exponent vectors (tuples of ring.dimension
-        ints >= 0), built without the checks; `normalize` and
-        `integral_closure_power` make their ideals this way.  Attributes are
-        set one by one, as `__init__` would, like `MonomialPrime._trusted`."""
-        J = object.__new__(cls)
-        object.__setattr__(J, "ring", ring)
-        object.__setattr__(J, "min_gens", gens)
-        return J
+    def _check(self) -> None:
+        object.__setattr__(self, "min_gens", normalize(self.min_gens, self.ring).min_gens)
 
     def is_zero(self) -> bool:
         return not self.min_gens
@@ -282,9 +335,9 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     never consult any polyhedral data, so the result can serve as the
     independent side of closure cross-checks.  t = 0 gives True.
 
-    The search and its set-up (generator order, suffix minima) live in
-    `_power_search`, which callers asking many questions of one ideal build
-    once.
+    The search and its set-up (generator order, suffix minima, memo) live
+    in `_power_search`, which callers asking many questions of one ideal
+    build once.
     """
     m = check_vector(J.ring.dimension, m)
     if check_count(t, "t", 0) == 0:
@@ -300,8 +353,10 @@ def _power_search(J: MonomialIdeal):
     """The raw-power search of `contains_in_power`, set up once for J.
 
     Returns member(m, t), true iff x^m is in J^t, for a nonzero J, an
-    already validated m and an int t >= 0.  Each member call keeps its own
-    memo, so no answer depends on the questions asked before it.
+    already validated m and an int t >= 0.  Every question asked of one
+    set-up shares one memo: an entry (i, rem, k) records whether some
+    product of k generators from gens[i:] divides x^rem, a fact about J
+    alone, so no answer depends on the questions asked before it.
 
     A node carries the remainder's degree down as an argument (taking c
     copies of g lowers it by c * deg(g)) instead of summing the remainder,
@@ -318,9 +373,9 @@ def _power_search(J: MonomialIdeal):
         min_deg_from[i] = min(degs[i], min_deg_from[i + 1])
         min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
 
-    def member(m: tuple[int, ...], t: int) -> bool:
-        memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
+    memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
+    def member(m: tuple[int, ...], t: int) -> bool:
         def search(i: int, rem: tuple[int, ...], deg: int, k: int) -> bool:
             if k == 0:
                 return True

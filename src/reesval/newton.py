@@ -15,9 +15,8 @@ function min (a.m / b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Sequence
@@ -25,6 +24,7 @@ from typing import Iterable, Sequence
 from . import lanes
 from .core import (
     MonomialIdeal,
+    Record,
     RingContext,
     _power_search,
     check_collection,
@@ -37,34 +37,23 @@ from .core import (
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(Record):
     """Half-space a.x >= b with a primitive non-negative integer normal.
 
     The output form of a facet and of a Rees valuation (`np`, `rees`,
-    `rees_valuations`); computations read `NewtonPolyhedron.rows`."""
+    `rees_valuations`); computations read `NewtonPolyhedron.rows`.
+    `compute_np` builds its facets with `_trusted(normal, offset)`."""
 
+    __slots__ = __match_args__ = ("normal", "offset")
     normal: tuple[int, ...]
     offset: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         normal = check_collection(self.normal, "normal")
         object.__setattr__(self, "normal", check_vector(len(normal), normal))
         if gcd(*normal) != 1:
             raise InvalidInput("facet normal must be nonzero and primitive")
         check_count(self.offset, "offset", 0)
-
-    @classmethod
-    def _trusted(cls, normal: tuple[int, ...], offset: int) -> "FacetInequality":
-        """A facet whose normal and offset are already known to be valid (a
-        primitive non-negative int tuple and an int >= 0), built without
-        the checks; `compute_np` makes its facets this way.  Attributes are
-        set one by one, as `__init__` would: writing to `__dict__` directly
-        gives each facet a full dict of its own."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "normal", normal)
-        object.__setattr__(f, "offset", offset)
-        return f
 
     @property
     def ideal_value(self) -> int:
@@ -76,40 +65,43 @@ class FacetInequality:
         return tuple(i for i, a in enumerate(self.normal) if a)
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(Record):
     """Facets of NP(I), and the rows that every computation reads.
 
     `rows` is derived from `facets`: the (normal, offset) pairs of the
     positive-offset facets, in facet order.  These are the Rees valuations,
     and the only facets that can fail at a point x >= 0, since an offset-0
-    facet a.x >= 0 has a >= 0.
+    facet a.x >= 0 has a >= 0.  Neither `rows` nor the packed normals
+    behind `_lanes` are fields: they do not take part in equality, hashing
+    or `repr`.
     """
 
+    __match_args__ = ("ring", "facets")
+    __slots__ = __match_args__ + ("rows", "_packed")
     ring: RingContext
     facets: tuple[FacetInequality, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    rows: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         rows = tuple((f.normal, f.offset) for f in self.facets if f.offset > 0)
         object.__setattr__(self, "rows", rows)
 
-    @cached_property
+    @property
     def _lanes(self) -> tuple[int, tuple[int, ...]] | None:
         """The row normals packed for `_row_dots`: (the largest row sum,
         one int per coordinate j with row f's a_j in 64-bit lane f of
         `lanes`).  Built on first use and kept on this object.  None when
         there is no row, or when some row sum reaches 2**64 and no m > 0
         could use the lanes."""
-        normals = [a for a, _ in self.rows]
-        if not normals:
-            return None
-        widest = max(map(sum, normals))
-        if widest >> 64:
-            return None
-        return widest, tuple(lanes.pack(column, 64) for column in zip(*normals))
+        try:
+            return self._packed
+        except AttributeError:
+            normals = [a for a, _ in self.rows]
+            widest = max(map(sum, normals), default=1 << 64)  # no row: no lanes
+            packed = None if widest >> 64 else (
+                widest, tuple(lanes.pack(column, 64) for column in zip(*normals)))
+            object.__setattr__(self, "_packed", packed)
+            return packed
 
     def _row_dots(self, m: tuple[int, ...]) -> list[int]:
         """a.m for every row (a, b), in row order, for a checked vector m.

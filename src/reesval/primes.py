@@ -13,12 +13,12 @@ shares no machinery with the decomposition path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import lanes
 from .core import (
     MonomialIdeal,
+    Record,
     RingContext,
     check_count,
     check_indexes,
@@ -28,30 +28,22 @@ from .core import (
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
-    """Prime ideal generated by variables; 0-based indexes, strictly ascending."""
+class MonomialPrime(Record):
+    """Prime ideal generated by variables; 0-based indexes, strictly ascending.
 
+    `b_star`, `associated_primes` and `minimal_primes` build their primes
+    with `_trusted(vars)`, from a non-empty ascending tuple of ints >= 0."""
+
+    __slots__ = __match_args__ = ("vars",)
     vars: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         idxs = check_indexes(self.vars)
         object.__setattr__(self, "vars", idxs)
         if not idxs:
             raise InvalidInput("a monomial prime needs at least one variable")
         if list(idxs) != sorted(set(idxs)):
             raise InvalidInput("variable indexes must be strictly ascending")
-
-    @classmethod
-    def _trusted(cls, vars: tuple[int, ...]) -> "MonomialPrime":
-        """A prime whose indexes are already known to be a non-empty,
-        strictly ascending tuple of ints >= 0, built without the checks;
-        `b_star`, `associated_primes` and `minimal_primes` make their primes
-        this way.  The attribute is set as `__init__` would: writing to
-        `__dict__` directly gives each prime a full dict of its own."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        return p
 
     def sort_key(self):
         return (len(self.vars), self.vars)
@@ -63,13 +55,17 @@ class MonomialPrime:
         return IrreducibleComponent(tuple((v, 1) for v in self.vars)).as_ideal(ring)
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """Ideal generated by pure powers x_v^e, stored as (index, exponent) pairs."""
+class IrreducibleComponent(Record):
+    """Ideal generated by pure powers x_v^e, stored as (index, exponent) pairs.
 
+    `irreducible_decomposition` builds its components with
+    `_trusted(bounds)`, from a non-empty tuple of (index, exponent) int
+    pairs with strictly ascending indexes >= 0 and exponents >= 1."""
+
+    __slots__ = __match_args__ = ("bounds",)
     bounds: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         bounds = tuple(
             (check_count(v, "variable index", 0), check_count(e, "exponent", 1))
             for v, e in self.bounds
@@ -78,17 +74,6 @@ class IrreducibleComponent:
         idxs = [v for v, _ in bounds]
         if not bounds or idxs != sorted(set(idxs)):
             raise InvalidInput("component bounds need ascending distinct variables")
-
-    @classmethod
-    def _trusted(cls, bounds: tuple[tuple[int, int], ...]) -> "IrreducibleComponent":
-        """A component whose bounds are already known to be a non-empty tuple
-        of (index, exponent) int pairs with strictly ascending indexes >= 0
-        and exponents >= 1, built without the checks;
-        `irreducible_decomposition` makes its components this way.  The
-        attribute is set as `__init__` would, like `MonomialPrime._trusted`."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "bounds", bounds)
-        return c
 
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.bounds)
@@ -175,10 +160,10 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
 
 
 def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Ass(R/J): the supports of the irredundant irreducible components."""
-    return frozenset(
-        MonomialPrime._trusted(c.support()) for c in irreducible_decomposition(J)
-    )
+    """Ass(R/J): the supports of the irredundant irreducible components,
+    one prime per distinct support."""
+    supports = {c.support() for c in irreducible_decomposition(J)}
+    return frozenset(map(MonomialPrime._trusted, supports))
 
 
 def associated_primes_bruteforce(

@@ -9,20 +9,19 @@ strictly positive value).  The set of centers is B*(I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import mul
 from typing import Iterable
 
-from .core import MonomialIdeal, check_vector
+from .core import MonomialIdeal, Record, check_vector
 from .newton import FacetInequality, compute_np
 from .primes import MonomialPrime
 
 
-@dataclass(frozen=True)
-class BStarSet:
+class BStarSet(Record):
     """The set of Rees valuation centers of an ideal."""
 
+    __slots__ = __match_args__ = ("centers",)
     centers: frozenset[MonomialPrime]
 
 
@@ -51,4 +50,4 @@ def b_star(I: MonomialIdeal) -> BStarSet:
     constructor's checks."""
     normals = [a for a, _ in compute_np(I).rows]  # rejects unit/zero ideals
     supports = set(map(tuple, map(compress, repeat(range(I.ring.dimension)), normals)))
-    return BStarSet(frozenset(map(MonomialPrime._trusted, supports)))
+    return BStarSet._trusted(frozenset(map(MonomialPrime._trusted, supports)))

@@ -10,7 +10,6 @@ reached B*(I) by construction; failing to reach it raises NotStabilized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul, sub
 from typing import Iterable, Optional, Sequence
@@ -18,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from . import lanes
 from .core import (
     MonomialIdeal,
+    Record,
     _power_search,
     check_collection,
     check_count,
@@ -41,10 +41,11 @@ DEFAULT_LOCALIZATION_CAP = 4
 DEFAULT_ORACLE_POWER_CAP = 12
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """Chain of Ass sets of closure powers up to stabilization."""
 
+    __slots__ = __match_args__ = (
+        "ideal", "chain", "stable_set", "stabilization_index", "b_star", "verdict_monotone")
     ideal: MonomialIdeal
     chain: tuple[tuple[int, frozenset[MonomialPrime]], ...]
     stable_set: frozenset[MonomialPrime]
@@ -53,20 +54,17 @@ class AsymptoticReport:
     verdict_monotone: bool
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(Record):
     """Per-power record of whether saturating the closure changes it."""
 
+    __slots__ = __match_args__ = ("ideal", "s_vars", "admissible", "per_n")
     ideal: MonomialIdeal
     s_vars: tuple[int, ...]
     admissible: bool
     per_n: tuple[tuple[int, bool], ...]
 
     def counter_witness(self) -> Optional[int]:
-        for n, ok in self.per_n:
-            if not ok:
-                return n
-        return None
+        return next((n for n, ok in self.per_n if not ok), None)
 
     def holds(self) -> bool:
         """The localization statement, vacuous when S meets a center."""
@@ -93,14 +91,7 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
             monotone = False
         previous = ass_n
         if ass_n == target.centers:
-            return AsymptoticReport(
-                ideal=I,
-                chain=tuple(chain),
-                stable_set=ass_n,
-                stabilization_index=n,
-                b_star=target,
-                verdict_monotone=monotone,
-            )
+            return AsymptoticReport._trusted(I, tuple(chain), ass_n, n, target, monotone)
     raise NotStabilized(n_cap, chain)
 
 
@@ -124,7 +115,7 @@ def verify_localization(
     for n in range(1, n_cap + 1):
         closure_n = integral_closure_power(I, n)
         per_n.append((n, equals(saturate(closure_n, s_vars), closure_n)))
-    return LocalizationReport(I, s_vars, admissible, tuple(per_n))
+    return LocalizationReport._trusted(I, s_vars, admissible, tuple(per_n))
 
 
 def closure_oracle_discrepancies(

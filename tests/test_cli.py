@@ -480,17 +480,19 @@ def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only --jobs > 1 uses the pool, so importing the CLI (as every command
     # and the benchmark's set-up do) must not load concurrent.futures (and
-    # with it logging) or multiprocessing
+    # with it logging) or multiprocessing; the value objects are Records,
+    # so dataclasses (and with it inspect) stays unloaded too
     code = (
         "import sys; import reesval.cli; print(*(name in sys.modules for name in "
-        "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')))"
+        "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing', "
+        "'dataclasses', 'inspect')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.split() == ["False", "False", "False"]
+    assert done.stdout.split() == ["False"] * 5
 
 
 def test_corpus_run_keeps_one_polyhedron():

@@ -1,9 +1,11 @@
 """Monomial ideal arithmetic: worked examples plus exhaustive/randomized
 properties (normalization, membership, colon adjointness, saturation)."""
 
+import copy
+import pickle
 import random
 import sys
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,14 @@ from hypothesis import strategies as st
 
 from reesval import (
     InvalidInput,
+    IrreducibleComponent,
     MonomialIdeal,
+    MonomialPrime,
     RingContext,
+    a_star,
+    b_star,
     colon,
+    compute_np,
     contains_in_power,
     contains_monomial,
     divides,
@@ -23,6 +30,7 @@ from reesval import (
     normalize,
     saturate,
     unit_ideal,
+    verify_localization,
     zero_ideal,
 )
 from reesval import core
@@ -104,6 +112,19 @@ def test_public_constructor_keeps_the_checks_that_normalize_skips():
     for gens in ([], [(0, 0)], [(2, 0), (1, 1), (0, 3), (2, 2)]):
         J = ideal2(*gens)
         assert J == MonomialIdeal(R2, J.min_gens) and type(J.min_gens) is tuple
+
+
+def test_public_constructor_canonicalizes():
+    # a duplicate, a generator divisible by another and an unsorted order
+    # give the same ideal as normalize, under == and under equals
+    gens = ((0, 1), (1, 0), (0, 1), (2, 2))
+    J = MonomialIdeal(R2, gens)
+    assert J.min_gens == ((1, 0), (0, 1))
+    assert J == normalize(gens, R2) and equals(J, normalize([(1, 0), (0, 1)], R2))
+    rng = random.Random(2324)
+    for _ in range(40):
+        gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(0, 6))]
+        assert MonomialIdeal(R3, gens) == normalize(gens, R3), gens
 
 
 @settings(max_examples=80, deadline=None)
@@ -468,13 +489,14 @@ def test_power_search_visits_the_described_tree():
             J = normalize([g for g in gens if any(g)], RingContext(NAMES[:d]))
             if not J.is_proper_nonzero():
                 continue
-            member = _power_search(J)
             for _ in range(6):
                 t = rng.randint(0, 4)
                 # a sum of t generators, nudged: members and near misses
                 m = [sum(col) for col in zip(*rng.choices(J.min_gens, k=t))] or [0] * d
                 m = tuple(max(0, e + rng.randint(-2, 1)) for e in m)
-                answer, nodes = count_search_nodes(member, m, t)
+                # a fresh set-up per question: its memo starts empty, so
+                # the count is that of this question's tree alone
+                answer, nodes = count_search_nodes(_power_search(J), m, t)
                 assert answer == monomial_in_power_ref(J, m, t), (J.min_gens, m, t)
                 assert nodes == power_search_nodes_ref(J, m, t), (J.min_gens, m, t)
 
@@ -499,3 +521,66 @@ def test_ring_name_validation():
         RingContext(("x", "x"))
     with pytest.raises(InvalidInput):
         RingContext(("2bad",))
+
+
+# --- value objects ----------------------------------------------------------
+
+def test_value_objects_keep_the_record_contract():
+    # every value class is a slotted Record: pickle, copy and deepcopy give
+    # an equal object (rebuilt through the checked constructor), a field
+    # can be neither set nor deleted, no instance has a __dict__, records
+    # of different classes never compare equal, and repr keeps the
+    # Name(field=value, ...) text of the former dataclasses
+    rng = random.Random(2325)
+    I = normalize([tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(4)], R3)
+    np_ = compute_np(I)
+    values = [
+        R3, I, np_.facets[-1], np_, MonomialPrime((0, 2)),
+        IrreducibleComponent(((0, 2), (2, 1))), b_star(I), a_star(I),
+        verify_localization(I, (1,), 2),
+    ]
+    assert len({type(v) for v in values}) == 9
+    for v in values:
+        for clone in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(clone) is type(v) and clone == v and hash(clone) == hash(v)
+        assert not hasattr(v, "__dict__")
+        for name in type(v).__match_args__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+    assert pickle.loads(pickle.dumps(np_)).rows == copy.deepcopy(np_).rows == np_.rows
+    assert np_.rows
+    for a, b in combinations(values, 2):
+        assert a != b and b != a
+    # equal field values in two classes still make unequal records
+    assert MonomialPrime._trusted(((0, 1),)) != IrreducibleComponent._trusted(((0, 1),))
+
+    J = normalize([(2, 0), (0, 3)], R2)
+    ring = "RingContext(variable_names=('x', 'y'))"
+    ideal = f"MonomialIdeal(ring={ring}, min_gens=((2, 0), (0, 3)))"
+    prime = "MonomialPrime(vars=(0, 1))"
+    centers = f"frozenset({{{prime}}})"
+    facets = [
+        f"FacetInequality(normal={a}, offset={b})"
+        for a, b in (((0, 1), 0), ((1, 0), 0), ((3, 2), 6))
+    ]
+    expected = {
+        R2: ring,
+        J: ideal,
+        compute_np(J).facets[-1]: facets[-1],
+        compute_np(J): f"NewtonPolyhedron(ring={ring}, facets=({', '.join(facets)}))",
+        MonomialPrime((0, 1)): prime,
+        IrreducibleComponent(((0, 2), (1, 3))): "IrreducibleComponent(bounds=((0, 2), (1, 3)))",
+        b_star(J): f"BStarSet(centers={centers})",
+        a_star(J): (
+            f"AsymptoticReport(ideal={ideal}, chain=((1, {centers}),), stable_set={centers}, "
+            f"stabilization_index=1, b_star=BStarSet(centers={centers}), verdict_monotone=True)"
+        ),
+        verify_localization(J, (1,), 1): (
+            f"LocalizationReport(ideal={ideal}, s_vars=(1,), admissible=False, "
+            "per_n=((1, False),))"
+        ),
+    }
+    for v, text in expected.items():
+        assert repr(v) == text
