@@ -171,6 +171,11 @@ class MonomialIdeal(Record):
         )
 
 
+def require_proper_nonzero(J: MonomialIdeal) -> None:
+    if not J.is_proper_nonzero():
+        raise InvalidInput("operation needs a proper nonzero ideal")
+
+
 def zero_ideal(ring: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ring, ())
 
@@ -340,20 +345,16 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     build once.
     """
     m = check_vector(J.ring.dimension, m)
-    if check_count(t, "t", 0) == 0:
-        return True
-    if J.is_zero():
-        return False
-    if J.is_unit():
-        return True
-    return _power_search(J)(m, t)
+    return _power_search(J)(m, check_count(t, "t", 0))
 
 
 def _power_search(J: MonomialIdeal):
     """The raw-power search of `contains_in_power`, set up once for J.
 
-    Returns member(m, t), true iff x^m is in J^t, for a nonzero J, an
-    already validated m and an int t >= 0.  Every question asked of one
+    Returns member(m, t), true iff x^m is in J^t, for any J, an already
+    validated m and an int t >= 0: t = 0 is True at once, the zero ideal
+    (no generators) is False for every t >= 1, and the unit ideal's
+    zero generator takes all t copies.  Every question asked of one
     set-up shares one memo: an entry (i, rem, k) records whether some
     product of k generators from gens[i:] divides x^rem, a fact about J
     alone, so no answer depends on the questions asked before it.
@@ -367,8 +368,8 @@ def _power_search(J: MonomialIdeal):
     gens = sorted(J.min_gens, key=lambda g: -sum(g))
     n_gens = len(gens)
     degs = [sum(g) for g in gens]
-    min_deg_from = [degs[-1]] * n_gens
-    min_exp_from = [gens[-1]] * n_gens
+    min_deg_from = degs[:]
+    min_exp_from = gens[:]
     for i in range(n_gens - 2, -1, -1):
         min_deg_from[i] = min(degs[i], min_deg_from[i + 1])
         min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))

@@ -33,6 +33,7 @@ from .core import (
     ideal_power,
     ideal_product,
     monomial_key,
+    require_proper_nonzero,
 )
 from .errors import InvalidInput
 
@@ -309,8 +310,7 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
 def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     """Irredundant facet description of conv(exponents of I) + orthant.
     Only the last one is kept: callers ask about one ideal at a time."""
-    if not I.is_proper_nonzero():
-        raise InvalidInput("Newton polyhedron needs a proper nonzero ideal")
+    require_proper_nonzero(I)
     d = I.ring.dimension
     raw = [(ray[:d], -ray[d]) for ray in _dual_extreme_rays(I.min_gens, d) if any(ray[:d])]
     # facet order: support size, then normal, then offset
@@ -568,10 +568,6 @@ def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     """
     m = check_vector(J.ring.dimension, m)
     check_count(t_max, "t_max", 1)
-    if J.is_zero():
-        return 0
-    if J.is_unit():
-        return t_max
     member = _power_search(J)
     for t in range(1, t_max + 1):
         if not member(m, t):

@@ -24,6 +24,7 @@ from .core import (
     check_indexes,
     colon,
     normalize,
+    require_proper_nonzero,
 )
 from .errors import InvalidInput
 
@@ -49,6 +50,8 @@ class MonomialPrime(Record):
         return (len(self.vars), self.vars)
 
     def names(self, ring: RingContext) -> tuple[str, ...]:
+        if self.vars[-1] >= ring.dimension:
+            raise InvalidInput("prime uses a variable outside the ring")
         return tuple(ring.variable_names[i] for i in self.vars)
 
     def as_ideal(self, ring: RingContext) -> MonomialIdeal:
@@ -90,11 +93,6 @@ class IrreducibleComponent(Record):
         return (len(self.bounds), self.bounds)
 
 
-def _require_proper_nonzero(J: MonomialIdeal) -> None:
-    if not J.is_proper_nonzero():
-        raise InvalidInput("operation needs a proper nonzero ideal")
-
-
 def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """Irredundant irreducible components whose intersection is J.
 
@@ -124,7 +122,7 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
     h = g + 1 that says C misses x^g; with h the bounds of C and b those
     of D, that C contains D.
     """
-    _require_proper_nonzero(J)
+    require_proper_nonzero(J)
     d = J.ring.dimension
     big = 1 + max(map(max, J.min_gens))
     w = lanes.width(big)
@@ -175,7 +173,7 @@ def associated_primes_bruteforce(
     than the largest generator exponent, is large enough that every
     associated prime has a colon witness inside the box.
     """
-    _require_proper_nonzero(J)
+    require_proper_nonzero(J)
     if box_bound is None:
         box_bound = 1 + max(e for g in J.min_gens for e in g)
     check_count(box_bound, "box_bound", 1)
@@ -191,7 +189,7 @@ def associated_primes_bruteforce(
 def minimal_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Minimal primes over J: inclusion-minimal variable sets meeting the
     support of every generator."""
-    _require_proper_nonzero(J)
+    require_proper_nonzero(J)
     supports = [frozenset(i for i, e in enumerate(g) if e) for g in J.min_gens]
     universe = sorted(frozenset().union(*supports))
     covers: list[set[int]] = []

@@ -78,9 +78,7 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
     undersized cap or an implementation bug, never a silent pass.
     """
     check_count(n_cap, "n_cap", 1)
-    if not I.is_proper_nonzero():
-        raise InvalidInput("asymptotic primes need a proper nonzero ideal")
-    target = b_star(I)
+    target = b_star(I)  # rejects unit/zero ideals
     chain: list[tuple[int, frozenset[MonomialPrime]]] = []
     monotone = True
     previous: Optional[frozenset[MonomialPrime]] = None

@@ -18,18 +18,25 @@ carries the degree down and reuses the remainder for a zero multiplicity.
 The dilation cuts here are exact column maps for any int rows; the
 library's capped cuts are guard-bit masks over one lane per point.
 
+The corpus-line rules here are written out by hand, field by field; the
+library's loader leaves the names and vectors to `RingContext` and
+`normalize`.
+
 The ideal sum, intersection and containment at the end are helpers that
 only the tests use; they build on the library's `normalize`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product, repeat
 from math import gcd
 from operator import add, floordiv, mul
 
 from reesval import (
+    MAX_DIMENSION,
+    MAX_INPUT_EXPONENT,
     MonomialIdeal,
     contains_in_power,
     contains_monomial,
@@ -367,6 +374,54 @@ def colon_witness(J: MonomialIdeal, bounds) -> tuple[int, ...]:
     for v, e in bounds:
         w[v] = e - 1
     return tuple(w)
+
+
+def corpus_line_accepted_ref(line: str) -> bool:
+    """Whether a corpus line is a usable entry, by the hand rules: a JSON
+    object with the fields id (a non-empty string), ring (1 to
+    MAX_DIMENSION distinct identifier names), gens (a non-empty list of
+    non-constant vectors of non-negative ints, each at most
+    MAX_INPUT_EXPONENT, one per ring variable) and an optional s_vars (a
+    non-empty list of distinct ring variables)."""
+    try:
+        entry = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(entry, dict) or not set(entry) <= {"id", "ring", "gens", "s_vars"}:
+        return False
+    if not isinstance(entry.get("id"), str) or not entry["id"]:
+        return False
+    ring = entry.get("ring")
+    if not isinstance(ring, list) or not 1 <= len(ring) <= MAX_DIMENSION:
+        return False
+    for name in ring:
+        if not isinstance(name, str) or not name:
+            return False
+        if not (name[0].isalpha() or name[0] == "_"):
+            return False
+        if not all(c.isalnum() or c == "_" for c in name):
+            return False
+    if len(set(ring)) != len(ring):
+        return False
+    gens = entry.get("gens")
+    if not isinstance(gens, list) or not gens:
+        return False
+    for g in gens:
+        if not isinstance(g, list) or len(g) != len(ring):
+            return False
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g):
+            return False
+        if not any(g) or max(g) > MAX_INPUT_EXPONENT:
+            return False
+    s_vars = entry.get("s_vars")
+    if s_vars is None:
+        return True
+    return (
+        isinstance(s_vars, list)
+        and bool(s_vars)
+        and all(isinstance(v, str) and v in ring for v in s_vars)
+        and len(set(s_vars)) == len(s_vars)
+    )
 
 
 def ideal_sum(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:

@@ -23,6 +23,7 @@ from reesval import (
 from reesval import cli
 from reesval.cli import _load_corpus_entry, main, run_corpus
 from conftest import CORPUS_PATH, REPO_ROOT
+from oracles import corpus_line_accepted_ref
 
 
 def run_cli(*argv):
@@ -291,6 +292,20 @@ def test_corpus_malformed_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_corpus_bad_later_line_leaves_no_output(tmp_path, capsys):
+    # every line is loaded before any entry runs: a bad line 2 (a
+    # non-minimal generator over the exponent cap) stops the run before
+    # line 1 reports anything
+    path = write_corpus(tmp_path, [
+        json.dumps({"id": "e1", "ring": ["x"], "gens": [[1]]}),
+        json.dumps({"id": "e2", "ring": ["x"], "gens": [[1], [13]]}),
+    ])
+    code, out = run_cli("corpus", path)
+    assert code == 2
+    assert out == ""
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_corpus_empty_s_vars_rejected(tmp_path, capsys):
     path = write_corpus(tmp_path, [
         json.dumps({"id": "e2", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": []}),
@@ -420,12 +435,45 @@ corpus_lines = (
 @example("[" * 100000)
 def test_corpus_loader_fuzz(line):
     # a corpus line is accepted as a usable entry or rejected as
-    # InvalidInput (exit 2); nothing else may escape the loader
+    # InvalidInput (exit 2); nothing else may escape the loader, and an
+    # accepted entry holds the ideal of the line's own fields
     try:
         entry = _load_corpus_entry(1, line)
     except InvalidInput:
         return
-    normalize([tuple(g) for g in entry["gens"]], RingContext(tuple(entry["ring"])))
+    fields = json.loads(line)
+    assert entry["id"] == fields["id"]
+    assert entry["ideal"] == normalize(fields["gens"], RingContext(tuple(fields["ring"])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(corpus_lines)
+@example('{"id": "a", "ring": ["x", "y"], "gens": [{"x": 1, "y": 0}]}')
+@example('{"id": "a", "ring": ["x", "y"], "gens": [{}]}')
+@example("true")
+@example('{"id": "a", "ring": ["x", "y"], "gens": [[1, 0], [0, 0]]}')
+@example('{"id": "a", "ring": ["x"], "gens": [[1], [13]]}')
+@example('{"id": "a", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": ["x", "x"]}')
+@example('{"id": "a", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": ["z"]}')
+@example('{"id": "a", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": [0]}')
+@example('{"id": "a", "ring": ["x", "y"], "gens": [[1, 1]], "s_vars": ["y", "x"]}')
+@example('{"id": "a", "ring": ["a", "b", "c", "d", "e", "f", "g"], "gens": [[1, 0, 0, 0, 0, 0, 0]]}')
+@example('{"id": "a", "ring": ["a", "b", "c", "d", "e", "f"], "gens": [[1, 0, 0, 0, 0, 12]]}')
+@example('{"id": "a", "ring": ["x", "x"], "gens": [[1, 1]]}')
+@example('{"id": "a", "ring": ["x", "1y"], "gens": [[1, 1]]}')
+@example('{"id": "a", "ring": "xy", "gens": [[1, 1]]}')
+@example('{"id": "a", "ring": ["x"], "gens": [[true]]}')
+@example('{"id": "a", "ring": ["x"], "gens": [[1.0]]}')
+@example('{"id": "a", "ring": ["x"], "gens": [[1]], "s_vars": null}')
+def test_corpus_loader_accepts_what_the_hand_rules_accept(line):
+    # the loader leaves names and vectors to the library's own checks; the
+    # lines it accepts are still exactly those the hand-written rules accept
+    try:
+        _load_corpus_entry(1, line)
+        accepted = True
+    except InvalidInput:
+        accepted = False
+    assert accepted == corpus_line_accepted_ref(line), line
 
 
 def test_corpus_duplicate_id_rejected(tmp_path):

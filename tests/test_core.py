@@ -395,6 +395,7 @@ def test_contains_in_power_degenerate_ideals():
     assert not contains_in_power(zero_ideal(R2), (1, 1), 2)
     assert contains_in_power(unit_ideal(R2), (0, 0), 7)
     assert contains_in_power(ideal2((1, 0)), (0, 5), 0)
+    assert contains_in_power(zero_ideal(R2), (0, 0), 0)
 
 
 NAMES = ("x", "y", "z", "w", "u")

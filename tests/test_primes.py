@@ -80,6 +80,10 @@ def test_component_outside_the_ring_is_rejected():
             IrreducibleComponent(bounds).as_ideal(R2)
     with pytest.raises(InvalidInput):
         MonomialPrime((5,)).as_ideal(R2)
+    for vars_ in ((2,), (0, 2)):  # naming the prime, too
+        with pytest.raises(InvalidInput):
+            MonomialPrime(vars_).names(R2)
+    assert MonomialPrime((0, 1)).names(R2) == ("x", "y")
     # a monomial prime is the component with every exponent 1
     assert MonomialPrime((0, 1)).as_ideal(R2) == ideal2((1, 0), (0, 1))
     assert IrreducibleComponent(((1, 3),)).as_ideal(R2) == ideal2((0, 3))
