@@ -131,7 +131,10 @@ def monomial_key(m: Sequence[int]):
 
 
 def divides(a: Sequence[int], m: Sequence[int]) -> bool:
-    """True when x^a divides x^m, i.e. a <= m componentwise."""
+    """True when x^a divides x^m, i.e. a <= m componentwise.  Vectors of
+    different lengths raise InvalidInput."""
+    if len(a) != len(m):
+        raise InvalidInput(f"vector {tuple(m)} has length {len(m)}, expected {len(a)}")
     return all(map(le, a, m))
 
 
@@ -164,11 +167,7 @@ class MonomialIdeal(Record):
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max over the generators (the generator bounding box)."""
-        if not self.min_gens:
-            return (0,) * self.ring.dimension
-        return tuple(
-            max(g[i] for g in self.min_gens) for i in range(self.ring.dimension)
-        )
+        return tuple(map(max, zip(*self.min_gens))) or (0,) * self.ring.dimension
 
 
 def require_proper_nonzero(J: MonomialIdeal) -> None:
@@ -249,29 +248,22 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
     Keeps the componentwise-minimal vectors (an antichain) and is idempotent.
     The empty input yields the zero ideal; a zero vector yields the unit ideal.
 
-    Divisibility is one integer subtraction per pair: each vector is one
-    coordinate per guard-bit lane (`lanes`), wide enough for the largest
-    exponent, so h divides g iff ((pack(g) | G) - pack(h)) & G == G.
+    In canonical order a divisor comes before its multiples, so a vector is
+    kept iff no vector kept before it divides it.  The kept vectors are
+    stored in guard-bit lanes (`lanes.any_below` and `lanes.store`), one int
+    per coordinate wide enough for the largest exponent, so that test is d
+    big-int steps for all of them at once.
     """
     if not isinstance(gens, Iterator):  # an iterator is read once, not copied
         gens = check_collection(gens, "generators")
     seen = {check_vector(ring.dimension, g) for g in gens}
-    if not seen:
-        return MonomialIdeal._trusted(ring, ())
-    w = lanes.width(max(map(max, seen)))
-    guard = lanes.guards(ring.dimension, w)
+    w = lanes.width(max(map(max, seen), default=0))
+    columns, guard = [0] * ring.dimension, 0
     mins: list[tuple[int, ...]] = []
-    packed: list[int] = []
     for g in sorted(seen, key=monomial_key):
-        # accepted vectors have strictly smaller degree or are incomparable,
-        # so a single divisibility scan against them suffices
-        x = lanes.pack(g, w) | guard
-        for p in packed:
-            if (x - p) & guard == guard:
-                break
-        else:
+        if not lanes.any_below(columns, guard, g, w):
             mins.append(g)
-            packed.append(x ^ guard)
+            columns, guard = lanes.store(columns, guard, g, w)
     return MonomialIdeal._trusted(ring, tuple(mins))
 
 

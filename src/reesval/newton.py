@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Sequence
@@ -363,7 +364,9 @@ def capped_dilation_cuts(
     Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
     for b > 0, so m is in n*NP exactly when n <= its cut.  Every offset b
     must be at least 1, as in `NewtonPolyhedron.rows`; any other raises
-    InvalidInput.
+    InvalidInput, as do a cap that is not an int >= 0, a point entry that
+    is not an int >= 0, and points or normals of different lengths.  These
+    checks read the whole list at once, with no Python call per point.
 
     Every point is one guard-bit lane of a single int (`lanes`): COL_j
     holds coordinate j of every point, ONE a 1 in every lane and G every
@@ -375,10 +378,15 @@ def capped_dilation_cuts(
     has one.  The masks' guard bits are summed into one int, read back
     once.  Lanes are at least 64 bits wide, where `lanes` packs at C
     speed."""
+    check_count(cap, "cap", 0)
+    lengths = set(map(len, points)).union(len(a) for a, _ in rows)
+    columns = list(zip(*points))
+    entries = list(chain.from_iterable(columns))
+    if len(lengths) > 1 or not set(map(type, entries)) <= {int} or min(entries, default=0) < 0:
+        raise InvalidInput("points need non-negative int entries and one length, the normals'")
     if not rows:
         return [cap] * len(points)
-    columns = list(zip(*points))
-    top = max(map(max, columns), default=0)
+    top = max(entries, default=0)
     peak = max(cap, top)
     for a, b in rows:
         if b < 1:

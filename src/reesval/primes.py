@@ -94,7 +94,22 @@ class IrreducibleComponent(Record):
 
 
 def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """Irredundant irreducible components whose intersection is J.
+    """Irredundant irreducible components whose intersection is J, in
+    `IrreducibleComponent.sort_key` order (see `_component_bounds`)."""
+    found = map(IrreducibleComponent._trusted, _component_bounds(J))
+    return tuple(sorted(found, key=IrreducibleComponent.sort_key))
+
+
+def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
+    """Ass(R/J): the supports of the irredundant irreducible components,
+    one prime per distinct support."""
+    supports = {tuple(v for v, _ in bounds) for bounds in _component_bounds(J)}
+    return frozenset(map(MonomialPrime._trusted, supports))
+
+
+def _component_bounds(J: MonomialIdeal) -> list[tuple[tuple[int, int], ...]]:
+    """The bounds, (index, exponent) pairs, of the irredundant irreducible
+    components whose intersection is J, in no fixed order.
 
     Adds one generator at a time, starting from the zero ideal, whose one
     component has no bounds: (C_1 & ... & C_k) + (x^g) is the intersection
@@ -148,20 +163,10 @@ def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, .
                 bare = b ^ guard
                 if not any(c != b and (c - bare) & guard == guard for c in pool):
                     comps.append(b)
-    found = (
-        IrreducibleComponent._trusted(
-            tuple((v, e) for v, e in enumerate(lanes.unpack(b ^ guard, d, w)) if e < big)
-        )
+    return [
+        tuple((v, e) for v, e in enumerate(lanes.unpack(b ^ guard, d, w)) if e < big)
         for b in comps
-    )
-    return tuple(sorted(found, key=IrreducibleComponent.sort_key))
-
-
-def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Ass(R/J): the supports of the irredundant irreducible components,
-    one prime per distinct support."""
-    supports = {c.support() for c in irreducible_decomposition(J)}
-    return frozenset(map(MonomialPrime._trusted, supports))
+    ]
 
 
 def associated_primes_bruteforce(

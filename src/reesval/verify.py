@@ -154,12 +154,12 @@ def closure_oracle_discrepancies(
     x^{km} = x^{kq} * x^{k(m-q)} in I^{kn}.  So the route keeps, for each
     dilation n, the samples its search proved members at n (their largest
     such n), and a kept sample that divides m settles an n of m's walk
-    without a search.  The kept samples of one n sit in
-    guard-bit lanes (`lanes`), one int per coordinate with one lane per
-    sample, so "some kept q <= m" is d subtractions and an AND.  Only
-    search answers are kept, so the result does not depend on the order
-    of `monomials`; the order only sets how many searches are skipped
-    (`sample_box` lists a divisor before its multiples).
+    without a search.  The kept samples of one n sit in guard-bit lanes
+    (`lanes.any_below` and `lanes.store`, as in `normalize`), one int per
+    coordinate with one lane per sample, so "some kept q <= m" is d big-int
+    steps.  Only search answers are kept, so the result does not depend on
+    the order of `monomials`; the order only sets how many searches are
+    skipped (`sample_box` lists a divisor before its multiples).
 
     So each n still ends up a member exactly when some k <= k_max puts
     x^{km} in I^{kn}, and no question is asked whose answer the earlier
@@ -210,29 +210,21 @@ def closure_oracle_discrepancies(
     # largest first; rungs: k_max down to the top half's least k
     opens = [[n for n in reversed(dilations) if n <= cut] for cut in range(cap + 1)]
     rungs = range(k_max, k_max // 2, -1)
-    # kept[n] = (one int per coordinate, the lane guard bits, lane count)
+    # kept[n]: the search members kept at n, as a `lanes` store
     width = lanes.width(peak)
-    kept: dict[int, tuple[list[int], int, int]] = {}
+    empty = ([0] * d, 0)
+    kept: dict[int, tuple[list[int], int]] = {}
     bad = []
     for m, cut, top in zip(samples, cuts, tops):
         best = 0  # the largest member dilation
         for n in opens[cut]:
-            cols, guard, count = kept.get(n, ([0] * d, 0, 0))
-            hit = guard
-            ones = guard >> (width - 1)
-            for e, c in zip(m, cols):
-                hit &= ((e * ones) | guard) - c
-            if hit:
+            columns, guard = kept.get(n, empty)
+            if lanes.any_below(columns, guard, m, width):
                 best = n
                 break
             if any(member(tuple(k * e for e in m), k * n) for k in rungs):
                 best = n
-                shift = count * width
-                kept[n] = (
-                    [c | (e << shift) for c, e in zip(cols, m)],
-                    guard | (1 << (shift + width - 1)),
-                    count + 1,
-                )
+                kept[n] = lanes.store(columns, guard, m, width)
                 break
         for n in n_values:
             if (n <= top) != (n <= best):

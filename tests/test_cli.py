@@ -423,8 +423,35 @@ def corpus_objects(draw):
     return entry
 
 
+# a replacement ring or s_vars name: valid, invalid, a non-string, or
+# (drawn per entry) a name the entry already uses
+edit_names = ["y", "_b", "x1", "xy", "", "1y", "x-y", "é", 0, None, ["x"]]
+
+
+@st.composite
+def corpus_edits(draw):
+    """A valid entry with exactly one field changed: the id, one ring name,
+    one generator entry (to 12, the cap, or 13) or one s_vars name."""
+    ring = draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=4, unique=True))
+    vector = st.lists(st.integers(0, 12), min_size=len(ring), max_size=len(ring)).filter(any)
+    entry = {"id": "e", "ring": ring, "gens": draw(st.lists(vector, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        entry["s_vars"] = draw(st.lists(st.sampled_from(ring), min_size=1, unique=True))
+    field = draw(st.sampled_from([f for f in ("id", "ring", "gens", "s_vars") if f in entry]))
+    if field == "id":
+        entry["id"] = draw(st.sampled_from(["e2", "", 0, None, ["e"]]))
+    elif field == "gens":
+        g = draw(st.sampled_from(entry["gens"]))
+        g[draw(st.integers(0, len(g) - 1))] = draw(st.sampled_from([12, 13]))
+    else:
+        names = entry[field]
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(edit_names + ring))
+    return json.dumps(entry)
+
+
 corpus_lines = (
     corpus_objects().map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=20)
+    | corpus_edits()
 )
 
 

@@ -170,6 +170,24 @@ def test_normalize_matches_pairwise_reference(case):
     assert normalize(gens, ring).min_gens == expected
 
 
+def test_normalize_matches_pairwise_reference_on_a_large_set():
+    # 1 050 vectors in 5 variables, 750 random and 300 near the degree-30
+    # shell (an antichain-rich band), so a few hundred are kept and
+    # the kept store spans many lanes; exponents reach 40, past the caps,
+    # as in the products of closures
+    rng = random.Random(2502)
+    ring = RingContext(("x", "y", "z", "w", "u"))
+    gens = [tuple(rng.randint(0, 40) for _ in range(5)) for _ in range(750)]
+    for _ in range(300):
+        cuts = sorted(rng.randint(0, 30) for _ in range(4))
+        shell = [b - a for a, b in zip([0, *cuts], [*cuts, 30])]
+        gens.append(tuple(e + rng.choice((0, 0, 1, 2)) for e in shell))
+    expected = tuple(sorted(minimal_generators_ref(gens), key=monomial_key))
+    assert len(expected) > 200
+    assert normalize(gens, ring).min_gens == expected
+    assert normalize(iter(gens), ring).min_gens == expected
+
+
 def test_canonical_order_degree_then_lex_descending():
     J = ideal2((0, 3), (1, 2), (2, 0))
     assert J.min_gens == ((2, 0), (1, 2), (0, 3))

@@ -29,3 +29,29 @@ def test_lanes_round_trip_and_guard_test():
             ], (w, xs, ys)
             assert lanes.width(top) == w and lanes.width(top + 1) == w + 1
 
+
+def test_stored_vectors_answer_some_stored_v_below_m():
+    # any_below and store against a plain scan: at every width, past 64
+    # stored vectors, with entries at 0 and at 2**(w-1) - 1, the largest
+    # below the guard; each query is
+    # a stored vector, the same with one entry one lower, or a random one;
+    # the store leaves the given one unchanged, which lets callers share an
+    # empty store
+    rng = random.Random(2501)
+    for w in range(1, 71):
+        top = (1 << (w - 1)) - 1
+        d = rng.randint(1, 4)
+        columns, guard = [0] * d, 0
+        stored = []
+        for _ in range(66):
+            v = tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(d))
+            j = rng.randrange(d)
+            lower = v[:j] + (max(v[j] - 1, 0),) + v[j + 1:]
+            for m in (v, lower, tuple(rng.randint(0, top) for _ in range(d))):
+                expected = any(all(a <= b for a, b in zip(q, m)) for q in stored)
+                assert lanes.any_below(columns, guard, m, w) == expected, (w, stored, m)
+            given, kept = columns, columns[:]
+            columns, guard = lanes.store(columns, guard, v, w)
+            assert given == kept  # the given store is left as it was
+            stored.append(v)
+        assert guard == lanes.guards(len(stored), w)
