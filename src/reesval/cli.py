@@ -1,7 +1,9 @@
 """Command-line front end and JSON-lines corpus runner.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or parse
-error, 3 chain not stabilized within the cap.  All JSON output is
+error, 3 chain not stabilized within the cap, 141 stdout closed before
+the output was written (128 + SIGPIPE, as a shell reports a writer that
+the signal stopped).  All JSON output is
 key-sorted and list-sorted, so identical invocations are byte-identical;
 wall-clock timings are emitted only on request (`corpus --timings`).
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -461,13 +464,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except NotStabilized as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): what was not written is
+        # dropped, and stdout goes to devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ can be shared across workers and cached freely.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import attrgetter, le
+from operator import attrgetter, le, neg
 from typing import Iterable, Sequence
 
 from . import lanes
@@ -127,7 +127,7 @@ class RingContext(Record):
 
 def monomial_key(m: Sequence[int]):
     """Canonical generator order: total degree ascending, then lex descending."""
-    return (sum(m), tuple(-e for e in m))
+    return (sum(m), tuple(map(neg, m)))
 
 
 def divides(a: Sequence[int], m: Sequence[int]) -> bool:
@@ -357,7 +357,7 @@ def _power_search(J: MonomialIdeal):
     and cmax are plain loops; the tree, its prunes and the memo key
     (i, rem, k) are those described in `contains_in_power`.
     """
-    gens = sorted(J.min_gens, key=lambda g: -sum(g))
+    gens = sorted(J.min_gens, key=sum, reverse=True)
     n_gens = len(gens)
     degs = [sum(g) for g in gens]
     min_deg_from = degs[:]

@@ -313,11 +313,11 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     Only the last one is kept: callers ask about one ideal at a time."""
     require_proper_nonzero(I)
     d = I.ring.dimension
-    raw = [(ray[:d], -ray[d]) for ray in _dual_extreme_rays(I.min_gens, d) if any(ray[:d])]
+    rays = _dual_extreme_rays(I.min_gens, d)
     # facet order: support size, then normal, then offset
-    raw.sort(key=lambda f: (d - f[0].count(0), f[0], f[1]))
+    raw = sorted((d - r[:d].count(0), r[:d], -r[d]) for r in rays if any(r[:d]))
     trusted = FacetInequality._trusted
-    return NewtonPolyhedron(I.ring, tuple([trusted(a, b) for a, b in raw]))
+    return NewtonPolyhedron(I.ring, tuple([trusted(a, b) for _, a, b in raw]))
 
 
 def _exact(c) -> bool:
@@ -380,17 +380,23 @@ def capped_dilation_cuts(
     speed."""
     check_count(cap, "cap", 0)
     lengths = set(map(len, points)).union(len(a) for a, _ in rows)
-    columns = list(zip(*points))
-    entries = list(chain.from_iterable(columns))
+    entries = list(chain.from_iterable(points))
     if len(lengths) > 1 or not set(map(type, entries)) <= {int} or min(entries, default=0) < 0:
         raise InvalidInput("points need non-negative int entries and one length, the normals'")
-    if not rows:
-        return [cap] * len(points)
-    top = max(entries, default=0)
-    peak = max(cap, top)
-    for a, b in rows:
+    for _, b in rows:
         if b < 1:
             raise InvalidInput(f"row offsets must be at least 1, got {b}")
+    return _capped_dilation_cuts(rows, points, cap)
+
+
+def _capped_dilation_cuts(rows, points, cap: int) -> list[int]:
+    """`capped_dilation_cuts` on arguments its checks would pass, as the
+    oracle's validated samples and a `NewtonPolyhedron`'s rows are.  With
+    no row, every lane's guard survives every n, so each cut is cap."""
+    columns = list(zip(*points))
+    top = max(map(max, columns), default=0)
+    peak = max(cap, top)
+    for a, b in rows:
         peak = max(peak, sum(map(abs, a)) * top + cap * b)
     w = max(64, lanes.width(peak))
     guard = lanes.guards(len(points), w)

@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
+from math import prod
 from typing import Sequence
 
 from .core import check_collection, check_count
-
-
-def box_volume(bounds: Sequence[int]) -> int:
-    vol = 1
-    for b in bounds:
-        vol *= b + 1
-    return vol
 
 
 def _decode(index: int, bounds: Sequence[int]) -> tuple[int, ...]:
@@ -27,14 +22,15 @@ def sample_box(bounds: Sequence[int], cap: int, seed_key: str) -> list[tuple[int
     """Lattice points of prod [0, bounds[i]]: all of them when the box holds
     at most `cap` points, otherwise `cap` points drawn without replacement
     by a generator seeded from `seed_key` (stable across runs and machines).
+    Either way the points come in index order, the index of a point m being
+    sum m_i * prod_{j<i} (bounds[j] + 1): coordinate 0 varies fastest.
     """
     check_count(cap, "cap", 0)
-    bounds = check_collection(bounds, "bounds")
-    for b in bounds:
-        check_count(b, "bound", 0)
-    vol = box_volume(bounds)
+    bounds = tuple(check_count(b, "bound", 0) for b in check_collection(bounds, "bounds"))
+    vol = prod(b + 1 for b in bounds)
     if vol <= cap:
-        return [_decode(i, bounds) for i in range(vol)]
+        # `product` varies its last range fastest, so the box goes in reversed
+        return [p[::-1] for p in product(*[range(b + 1) for b in reversed(bounds)])]
     rng = random.Random(seed_key)
     picks = sorted(rng.sample(range(vol), cap))
     return [_decode(i, bounds) for i in picks]

@@ -29,7 +29,7 @@ from .core import (
 from .errors import InvalidInput, NotStabilized
 from .newton import (
     FacetInequality,
-    capped_dilation_cuts,
+    _capped_dilation_cuts,
     compute_np,
     integral_closure_power,
 )
@@ -42,16 +42,27 @@ DEFAULT_ORACLE_POWER_CAP = 12
 
 
 class AsymptoticReport(Record):
-    """Chain of Ass sets of closure powers up to stabilization."""
+    """Chain of Ass sets of closure powers up to stabilization: `chain`
+    holds (n, Ass(R / closure(I^n))) for n = 1 up to the first n whose set
+    is B*(I), and the other facts are read off it."""
 
-    __slots__ = __match_args__ = (
-        "ideal", "chain", "stable_set", "stabilization_index", "b_star", "verdict_monotone")
+    __slots__ = __match_args__ = ("ideal", "chain", "b_star")
     ideal: MonomialIdeal
     chain: tuple[tuple[int, frozenset[MonomialPrime]], ...]
-    stable_set: frozenset[MonomialPrime]
-    stabilization_index: int
     b_star: BStarSet
-    verdict_monotone: bool
+
+    @property
+    def stable_set(self) -> frozenset[MonomialPrime]:
+        return self.chain[-1][1]
+
+    @property
+    def stabilization_index(self) -> int:
+        return self.chain[-1][0]
+
+    @property
+    def verdict_monotone(self) -> bool:
+        """No set of the chain loses a prime of the set before it."""
+        return all(a <= b for (_, a), (_, b) in zip(self.chain, self.chain[1:]))
 
 
 class LocalizationReport(Record):
@@ -80,16 +91,11 @@ def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport
     check_count(n_cap, "n_cap", 1)
     target = b_star(I)  # rejects unit/zero ideals
     chain: list[tuple[int, frozenset[MonomialPrime]]] = []
-    monotone = True
-    previous: Optional[frozenset[MonomialPrime]] = None
     for n in range(1, n_cap + 1):
         ass_n = associated_primes(integral_closure_power(I, n))
         chain.append((n, ass_n))
-        if previous is not None and not previous <= ass_n:
-            monotone = False
-        previous = ass_n
         if ass_n == target.centers:
-            return AsymptoticReport._trusted(I, tuple(chain), ass_n, n, target, monotone)
+            return AsymptoticReport._trusted(I, tuple(chain), target)
     raise NotStabilized(n_cap, chain)
 
 
@@ -132,9 +138,11 @@ def closure_oracle_discrepancies(
     The facet route is one integer per sample: m is in n*NP exactly when
     n <= the least (a.m) // b over the positive-offset rows (a, b) of the
     polyhedron (offset-0 facets hold at every m >= 0).  For all samples at
-    once, `capped_dilation_cuts` gives that integer capped at the largest
-    n asked, on one guard-bit lane per sample.  With no such row every
-    sample is in every dilation.
+    once, `newton._capped_dilation_cuts` gives that integer capped at the
+    largest n asked, on one guard-bit lane per sample.  It is the kernel of
+    `capped_dilation_cuts` without that entry's checks: the samples are
+    checked here once, and the rows are `compute_np`'s.  With no such row
+    every sample is in every dilation.
 
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
@@ -185,27 +193,26 @@ def closure_oracle_discrepancies(
     # the weight cut, min(cap, w.m // b) over the weights (w, b): one
     # guard-bit lane per sample, as in `capped_dilation_cuts` (own mask
     # loop, see above); w >= 0 and b >= 1, and sum(w) >= 1, so the peak
-    # covers the sample entries, every w.m and every n*b
+    # covers the sample entries, every w.m and every n*b.  With no weight
+    # every guard survives every n, and each cut is cap
     peak = max(map(max, samples), default=0)
     weights = _separating_weights(I, np_.facets)
-    cuts = [cap] * len(samples)
-    if weights:
-        widest = max(max(sum(w) * peak, cap * b) for w, b in weights)
-        lane_width = max(64, lanes.width(widest))
-        lane_guard = lanes.guards(len(samples), lane_width)
-        lane_ones = lane_guard >> (lane_width - 1)
-        packed = [lanes.pack(column, lane_width) for column in zip(*samples)]
-        xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in weights]
-        steps = [b * lane_ones for _, b in weights]
-        total = 0
-        for _ in range(cap):
-            xs = list(map(sub, xs, steps))
-            mask = reduce(and_, xs, lane_guard)
-            if not mask:
-                break
-            total += mask >> (lane_width - 1)
-        cuts = lanes.unpack(total, len(samples), lane_width)
-    tops = capped_dilation_cuts(np_.rows, samples, cap)
+    widest = max((max(sum(w) * peak, cap * b) for w, b in weights), default=cap)
+    lane_width = max(64, lanes.width(widest))
+    lane_guard = lanes.guards(len(samples), lane_width)
+    lane_ones = lane_guard >> (lane_width - 1)
+    packed = [lanes.pack(column, lane_width) for column in zip(*samples)]
+    xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in weights]
+    steps = [b * lane_ones for _, b in weights]
+    total = 0
+    for _ in range(cap):
+        xs = list(map(sub, xs, steps))
+        mask = reduce(and_, xs, lane_guard)
+        if not mask:
+            break
+        total += mask >> (lane_width - 1)
+    cuts = lanes.unpack(total, len(samples), lane_width)
+    tops = _capped_dilation_cuts(np_.rows, samples, cap)
     # opens[cut]: the open dilations of a sample with that weight cut,
     # largest first; rungs: k_max down to the top half's least k
     opens = [[n for n in reversed(dilations) if n <= cut] for cut in range(cap + 1)]

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent import futures
@@ -455,7 +456,7 @@ corpus_lines = (
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(corpus_lines)
 @example('{"id": "a", "ring": ["x"], "gens": [[1]], "s_vars": [["x"]]}')
 @example('{"id": "a", "ring": ["x"], "gens": [[' + "1" * 5000 + ']]}')
@@ -568,6 +569,39 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.split() == ["False"] * 5
+
+
+def test_corpus_into_a_closed_pipe_exits_quietly():
+    # the corpus computes every report before it writes one, so with the
+    # read end closed first the first write fails: no traceback, and the
+    # exit code that README documents for a closed stdout, never 1, which
+    # means a verdict failed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reesval", "corpus", str(CORPUS_PATH)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 141
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"\n| {code} " in readme.split("### Exit codes", 1)[1].split("###", 1)[0]
+
+
+def test_readme_corpus_example_is_the_shipped_output():
+    # the "Corpus files" example shows the g03-x2-xy report line and the
+    # summary line as the shipped corpus prints them at the default seed
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Corpus files", 1)[1].split("```json", 2)[2].split("```", 1)[0]
+    report, summary = (json.loads(obj) for obj in re.split(r"\n(?=\{)", block.strip()))
+    out = io.StringIO()
+    assert run_corpus(str(CORPUS_PATH), out=out) == 0
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert summary == lines[-1]
+    assert report in lines
 
 
 def test_corpus_run_keeps_one_polyhedron():

@@ -1,14 +1,17 @@
 """The asymptotic chain, its stabilization against the centers, and the
 localization check, including the pinned negative example."""
 
+import io
 import json
 import random
+from math import prod
 from operator import le, mul
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import reesval.newton
 import reesval.verify
 from reesval import (
     FacetInequality,
@@ -30,10 +33,10 @@ from reesval import (
     samuel_order,
     verify_localization,
 )
-from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP
+from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP, run_corpus
 from reesval.sampling import sample_box
 from reesval.verify import _separating_weights
-from oracles import dilation_cuts, in_closure_by_powers
+from oracles import dilation_cuts, in_closure_by_powers, sample_box_ref
 
 REPO = Path(__file__).resolve().parents[1]
 R2 = RingContext(("x", "y"))
@@ -199,7 +202,7 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(3) for b in range(4)]
     assert closure_oracle_discrepancies(I, monomials) == []
-    honest = reesval.verify.capped_dilation_cuts
+    honest = reesval.verify._capped_dilation_cuts
 
     def flipped(rows, points, cap):
         cuts = honest(rows, points, cap)
@@ -208,8 +211,64 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
         cuts[i] = 2
         return cuts
 
-    monkeypatch.setattr(reesval.verify, "capped_dilation_cuts", flipped)
+    monkeypatch.setattr(reesval.verify, "_capped_dilation_cuts", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
+
+
+def test_closure_oracle_checks_its_samples_once(monkeypatch, corpus_ideals):
+    # the oracle checks its samples (check_vector) and hands them, with
+    # compute_np's rows, to the cut kernel; the public entry, whose checks
+    # would read every sample again, is not on its path, so refusing it
+    # changes no result: the corpus samples at seed 0, a case with
+    # discrepancies (k = 1 alone misses members), and a whole corpus run
+    cases = [
+        (I, sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"0:{entry['id']}"), 12)
+        for entry, I in corpus_ideals
+    ]
+    cases.append((ideal_in(R2, (2, 0), (0, 3)), [(a, b) for a in range(4) for b in range(5)], 1))
+
+    def answers():
+        return [closure_oracle_discrepancies(I, ms, ORACLE_DILATIONS, k) for I, ms, k in cases]
+
+    def corpus_report():
+        out = io.StringIO()
+        assert run_corpus(str(REPO / "corpus" / "standard.jsonl"), out=out) == 0
+        return out.getvalue()
+
+    before, report = answers(), corpus_report()
+    assert before[-1]
+
+    def refused(rows, points, cap):
+        raise AssertionError("the oracle checked its samples a second time")
+
+    monkeypatch.setattr(reesval.newton, "capped_dilation_cuts", refused)
+    monkeypatch.setattr(reesval.verify, "capped_dilation_cuts", refused, raising=False)
+    assert answers() == before
+    assert corpus_report() == report
+
+
+def test_sample_box_lists_the_decoded_indexes(corpus_ideals):
+    # a full box is listed by itertools.product and a sampled one decoded
+    # from its drawn indexes; both give the reference's index-decoded list
+    # (coordinate 0 fastest) on every corpus box at the oracle's cap and
+    # three seeds, and on seeded boxes with 1-4 coordinates, bounds 0-6 and
+    # caps below, at and above the volume
+    cases = [
+        (I.max_exponents(), ORACLE_SAMPLE_CAP, f"{seed}:{entry['id']}")
+        for entry, I in corpus_ideals
+        for seed in (0, 1, 7)
+    ]
+    rng = random.Random(2602)
+    for i in range(320):
+        bounds = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 4)))
+        vol = prod(b + 1 for b in bounds)
+        cap = rng.choice((0, 1, vol - 1, vol, vol + 1, rng.randint(0, 2 * vol)))
+        cases.append((bounds, cap, f"box:{i}"))
+    full = 0
+    for bounds, cap, key in cases:
+        assert sample_box(bounds, cap, key) == sample_box_ref(bounds, cap, key), (bounds, cap, key)
+        full += prod(b + 1 for b in bounds) <= cap
+    assert 0 < full < len(cases)
 
 
 def test_closure_oracle_weight_cut_stays_off_the_facet_helper(monkeypatch):
@@ -219,13 +278,13 @@ def test_closure_oracle_weight_cut_stays_off_the_facet_helper(monkeypatch):
     I = ideal_in(R2, (2, 0), (0, 3))
     monomials = [(a, b) for a in range(7) for b in range(10)]
     n_values = (1, 2, 3)
-    honest = reesval.verify.capped_dilation_cuts
+    honest = reesval.verify._capped_dilation_cuts
     cuts = honest(compute_np(I).rows, monomials, n_values[-1])
     expected = [(m, n) for m, cut in zip(monomials, cuts) for n in n_values if n == cut]
     assert expected
     monkeypatch.setattr(
         reesval.verify,
-        "capped_dilation_cuts",
+        "_capped_dilation_cuts",
         lambda rows, points, cap: [c - 1 for c in honest(rows, points, cap)],
     )
     assert closure_oracle_discrepancies(I, monomials, n_values) == expected
@@ -350,7 +409,7 @@ def test_closure_oracle_reports_members_of_a_sample_it_does_not_search(monkeypat
     n_values = (3, 2)
     assert closure_oracle_discrepancies(I, monomials, n_values) == []
     monkeypatch.setattr(
-        reesval.verify, "capped_dilation_cuts", lambda rows, points, cap: [cap] * len(points)
+        reesval.verify, "_capped_dilation_cuts", lambda rows, points, cap: [cap] * len(points)
     )
     expected = [(m, n) for m in monomials for n in n_values]
     assert closure_oracle_discrepancies(I, monomials, n_values) == expected
