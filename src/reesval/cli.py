@@ -3,9 +3,10 @@
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or parse
 error, 3 chain not stabilized within the cap, 141 stdout closed before
 the output was written (128 + SIGPIPE, as a shell reports a writer that
-the signal stopped).  All JSON output is
-key-sorted and list-sorted, so identical invocations are byte-identical;
-wall-clock timings are emitted only on request (`corpus --timings`).
+the signal stopped; it replaces every other code, a failed verdict's
+too).  All JSON output is key-sorted and list-sorted, so identical
+invocations are byte-identical; wall-clock timings are emitted only on
+request (`corpus --timings`).
 """
 
 from __future__ import annotations

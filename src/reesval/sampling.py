@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -29,8 +28,7 @@ def sample_box(bounds: Sequence[int], cap: int, seed_key: str) -> list[tuple[int
     bounds = tuple(check_count(b, "bound", 0) for b in check_collection(bounds, "bounds"))
     vol = prod(b + 1 for b in bounds)
     if vol <= cap:
-        # `product` varies its last range fastest, so the box goes in reversed
-        return [p[::-1] for p in product(*[range(b + 1) for b in reversed(bounds)])]
+        return [_decode(i, bounds) for i in range(vol)]
     rng = random.Random(seed_key)
     picks = sorted(rng.sample(range(vol), cap))
     return [_decode(i, bounds) for i in picks]

@@ -20,9 +20,7 @@ library's capped cuts are guard-bit masks over one lane per point.
 
 The corpus-line rules here are written out by hand, field by field; the
 library's loader leaves the names and vectors to `RingContext` and
-`normalize`.  The box sample here decodes every index of a box one
-coordinate at a time; the library lists a whole box with
-`itertools.product` and decodes only the drawn indexes.
+`normalize`.
 
 The ideal sum, intersection and containment at the end are helpers that
 only the tests use; they build on the library's `normalize`.
@@ -31,7 +29,6 @@ only the tests use; they build on the library's `normalize`.
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product, repeat
 from math import gcd
@@ -353,25 +350,6 @@ def dilation_cuts(rows, points, default: int) -> list[int]:
         floors = map(floordiv, dots, repeat(b))
         cuts = list(floors) if cuts is None else list(map(min, cuts, floors))
     return [default] * len(points) if cuts is None else cuts
-
-
-def sample_box_ref(bounds, cap: int, seed_key: str) -> list[tuple[int, ...]]:
-    """The lattice points of prod [0, bounds[i]] with the indexes 0..vol-1,
-    or `cap` of those indexes drawn as `sample_box` draws them, in index
-    order; index i has coordinate j equal to (i // prod_{k<j} (b_k + 1))
-    mod (b_j + 1)."""
-    vol = 1
-    for b in bounds:
-        vol *= b + 1
-    indexes = range(vol) if vol <= cap else sorted(random.Random(seed_key).sample(range(vol), cap))
-    out = []
-    for i in indexes:
-        coords = []
-        for b in bounds:
-            coords.append(i % (b + 1))
-            i //= b + 1
-        out.append(tuple(coords))
-    return out
 
 
 def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

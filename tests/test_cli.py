@@ -571,13 +571,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert done.stdout.split() == ["False"] * 5
 
 
-def test_corpus_into_a_closed_pipe_exits_quietly():
+@pytest.mark.parametrize("options", [(), ("--cap", "1")])
+def test_corpus_into_a_closed_pipe_exits_quietly(options):
     # the corpus computes every report before it writes one, so with the
     # read end closed first the first write fails: no traceback, and the
-    # exit code that README documents for a closed stdout, never 1, which
-    # means a verdict failed
+    # exit code that README documents for a closed stdout, which replaces
+    # every other code: a passing corpus does not exit 1, and one whose
+    # chains do not stabilize under `--cap 1` does not exit 3
     proc = subprocess.Popen(
-        [sys.executable, "-m", "reesval", "corpus", str(CORPUS_PATH)],
+        [sys.executable, "-m", "reesval", "corpus", str(CORPUS_PATH), *options],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
@@ -591,23 +593,19 @@ def test_corpus_into_a_closed_pipe_exits_quietly():
     assert f"\n| {code} " in readme.split("### Exit codes", 1)[1].split("###", 1)[0]
 
 
-def test_readme_corpus_example_is_the_shipped_output():
-    # the "Corpus files" example shows the g03-x2-xy report line and the
-    # summary line as the shipped corpus prints them at the default seed
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("### Corpus files", 1)[1].split("```json", 2)[2].split("```", 1)[0]
-    report, summary = (json.loads(obj) for obj in re.split(r"\n(?=\{)", block.strip()))
-    out = io.StringIO()
-    assert run_corpus(str(CORPUS_PATH), out=out) == 0
-    lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert summary == lines[-1]
-    assert report in lines
-
-
 def test_corpus_run_keeps_one_polyhedron():
     # the Newton polyhedron and closure memos are bounded: a whole corpus
     # run leaves at most the last entry's polyhedron behind, not one per
-    # entry, and at most 16 closures, not one per entry and power
-    assert run_corpus(str(CORPUS_PATH), out=io.StringIO()) == 0
+    # entry, and at most 16 closures, not one per entry and power; the
+    # README "Corpus files" example shows the g03-x2-xy report line and the
+    # summary line as this run prints them
+    out = io.StringIO()
+    assert run_corpus(str(CORPUS_PATH), out=out) == 0
     assert compute_np.cache_info().currsize <= 1
     assert integral_closure_power.cache_info().currsize <= 16
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Corpus files", 1)[1].split("```json", 2)[2].split("```", 1)[0]
+    report, summary = (json.loads(obj) for obj in re.split(r"\n(?=\{)", block.strip()))
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert summary == lines[-1]
+    assert report in lines
