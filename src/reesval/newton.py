@@ -140,9 +140,10 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     generator points at height 1.  The first d+1 constraints form a
     triangular system, so the initial simplicial cone's rays are written
     down directly; every further constraint keeps the non-negative rays and
-    inserts one combination per adjacent (positive, negative) pair, in the
-    order of the positive ray and then the negative one.  All vectors stay
-    integer and primitive.
+    inserts one combination per adjacent (negative, positive) pair, in the
+    order of the negative ray and then the positive one.  All vectors stay
+    integer and primitive.  Only the reference in the tests reads that
+    order: `compute_np` sorts the facets, so it alone owns their order.
 
     Every intermediate cone is pointed (the first d+1 constraints are
     nonsingular) and lives in R^dim, dim = d+1.  A ray's index is fixed at
@@ -150,9 +151,11 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     output order.  Each ray keeps two bitmasks over all constraints, later
     ones included: its tight set T and its negative set N.  on[c] is the
     bitmask of the rays tight on constraint c, so questions about rays are
-    answered column-wise.  Bits of cut-off rays stay in on[c]: every read
-    of on[c] is ANDed with pos or with the step's live mask, so no cut-off
-    ray is ever seen.
+    answered column-wise.  Every read of on[c] is ANDed with pos or with
+    the live mask of the step's start, so bits of cut-off rays stay in it
+    unseen, and a new ray is filed (rays, T, N, on[c], bucket) as soon as
+    its pair is found: the step cannot see it, and it joins the live mask
+    when the step ends.
 
     Later signs come from the parents.  The d+1 initial rays are evaluated
     once on every generator.  A new ray is y = a*p + b*m with a, b > 0, so
@@ -191,7 +194,7 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
 
     No combination is produced twice: it lies in the relative interior of
     the 2-face its pair spans, and distinct 2-faces have disjoint relative
-    interiors.  A new ray's tight set up to the step is `common | bit(k)`
+    interiors.  A new ray's tight set up to the step is (T_p & T_m) | bit(k)
     with no further dot products, by the same sign argument: every earlier
     constraint is >= 0 on both parents.
     """
@@ -234,7 +237,7 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
         for m in cut:
             cut_mask |= 1 << m
         pos = live & ~(on[k] | cut_mask)
-        found = []
+        born = 0  # the rays this step makes
         vp_of = {}  # the step's value on each positive partner
         for m in cut:
             tm = tight[m] & below
@@ -258,14 +261,15 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
                 continue
             ray_m = rays[m]
             vm = sum(map(mul, h, ray_m))
+            tight_m, neg_m = tight[m], neg[m] ^ bit  # neg_m now on later constraints only
             while cand:
                 low = cand & -cand
                 cand ^= low
                 p = low.bit_length() - 1
-                common = tight[p] & tm
+                tight_p, neg_p = tight[p], neg[p]
                 if r > 1:
                     cover = live
-                    for c in _bit_indexes(common):
+                    for c in _bit_indexes(tight_p & tm):
                         cover &= on[c]
                     if cover.bit_count() != 2:
                         continue
@@ -275,35 +279,31 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
                     vp = vp_of[p] = sum(map(mul, h, ray_p))
                 combo = [vp * b - vm * a for a, b in zip(ray_p, ray_m)]
                 g = gcd(*combo)
-                found.append((p, m, tuple(combo) if g == 1 else tuple([v // g for v in combo])))
-        found.sort()
-        live ^= cut_mask
-        for p, m, combo in found:
-            i = len(rays)
-            rays.append(combo)
-            tight_p, tight_m = tight[p], tight[m]
-            neg_p, neg_m = neg[p], neg[m] ^ bit  # both now on later constraints only
-            t = (tight_p & tight_m) | bit
-            mixed = (neg_p ^ neg_m) & ~(tight_p | tight_m)  # one parent > 0, the other < 0
-            n = (neg_p | neg_m) & ~mixed
-            while mixed:
-                low = mixed & -mixed
-                mixed ^= low
-                v = sum(map(mul, hs[low.bit_length() - 1 - d], combo))
-                if v < 0:
-                    n |= low
-                elif not v:
-                    t |= low
-            tight.append(t)
-            neg.append(n)
-            b = 1 << i
-            live |= b
-            while t:
-                low = t & -t
-                t ^= low
-                on[low.bit_length() - 1] |= b
-            if n:
-                bucket[(n & -n).bit_length() - 1].append(i)
+                combo = tuple(combo) if g == 1 else tuple([v // g for v in combo])
+                t = (tight_p & tight_m) | bit
+                mixed = (neg_p ^ neg_m) & ~(tight_p | tight_m)  # one parent > 0, the other < 0
+                n = (neg_p | neg_m) & ~mixed
+                while mixed:
+                    low = mixed & -mixed
+                    mixed ^= low
+                    v = sum(map(mul, hs[low.bit_length() - 1 - d], combo))
+                    if v < 0:
+                        n |= low
+                    elif not v:
+                        t |= low
+                i = len(rays)
+                rays.append(combo)
+                tight.append(t)
+                neg.append(n)
+                b = 1 << i
+                born |= b
+                while t:
+                    low = t & -t
+                    t ^= low
+                    on[low.bit_length() - 1] |= b
+                if n:
+                    bucket[(n & -n).bit_length() - 1].append(i)
+        live = (live ^ cut_mask) | born
     return [rays[i] for i in _bit_indexes(live)]
 
 

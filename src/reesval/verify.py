@@ -195,13 +195,14 @@ def closure_oracle_discrepancies(
     # loop, see above); w >= 0 and b >= 1, and sum(w) >= 1, so the peak
     # covers the sample entries, every w.m and every n*b.  With no weight
     # every guard survives every n, and each cut is cap
-    peak = max(map(max, samples), default=0)
+    sample_columns = list(zip(*samples))
+    peak = max(map(max, sample_columns), default=0)
     weights = _separating_weights(I, np_.facets)
     widest = max((max(sum(w) * peak, cap * b) for w, b in weights), default=cap)
     lane_width = max(64, lanes.width(widest))
     lane_guard = lanes.guards(len(samples), lane_width)
     lane_ones = lane_guard >> (lane_width - 1)
-    packed = [lanes.pack(column, lane_width) for column in zip(*samples)]
+    packed = [lanes.pack(column, lane_width) for column in sample_columns]
     xs = [sum(map(mul, packed, w)) | lane_guard for w, _ in weights]
     steps = [b * lane_ones for _, b in weights]
     total = 0
@@ -233,9 +234,8 @@ def closure_oracle_discrepancies(
                 best = n
                 kept[n] = lanes.store(columns, guard, m, width)
                 break
-        for n in n_values:
-            if (n <= top) != (n <= best):
-                bad.append((m, n))
+        if top != best:  # else no n can tell them apart
+            bad += [(m, n) for n in n_values if (n <= top) != (n <= best)]
     return bad
 
 

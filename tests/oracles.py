@@ -148,12 +148,12 @@ def dual_extreme_rays_ref(points, d: int) -> list[tuple[int, ...]]:
 
     Constraints are the d unit rays at height 0, then the points at height
     1; the first d + 1 form a triangular system whose simplicial cone is
-    written down.  For every further constraint, each (positive, negative)
+    written down.  For every further constraint, each (negative, positive)
     pair sharing at least dim - 2 tight constraints (dim = d + 1) is
     adjacent exactly when no third ray is tight on every constraint both
     are tight on (Fukuda and Prodon, "Double description method
     revisited", 1996); its combination joins the kept rays, in the order of
-    the positive ray and then the negative one.
+    the negative ray and then the positive one.
     """
     dim = d + 1
     constraints = [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
@@ -175,8 +175,8 @@ def dual_extreme_rays_ref(points, d: int) -> list[tuple[int, ...]]:
         neg = [i for i, v in enumerate(vals) if v < 0]
         new_rays, new_tight = [], []
         seen = set()
-        for ip in pos:
-            for im in neg:
+        for im in neg:
+            for ip in pos:
                 common = tight[ip] & tight[im]
                 if common.bit_count() < dim - 2:
                     continue  # no shared 2-face

@@ -142,8 +142,16 @@ def test_dual_extreme_rays_match_reference(corpus_ideals):
     # d = 1 (a repeated point makes a ray tight on two constraints) and d = 2
     cases += [(((2,), (2,), (1,)), 1), (((3,), (1,), (2,)), 1)]
     cases += [(((4, 0), (2, 1), (2, 1), (0, 4), (1, 3)), 2), (((3, 0), (1, 1), (0, 2)), 2)]
-    for points, d in cases + kernel_sign_cases():
-        assert _dual_extreme_rays(points, d) == dual_extreme_rays_ref(points, d), (points, d)
+    kernel = kernel_sign_cases()
+    got = []
+    for points, d in cases + kernel:
+        got.append(_dual_extreme_rays(points, d))
+        assert got[-1] == dual_extreme_rays_ref(points, d), (points, d)
+    # each kernel point set comes in order, reversed and shuffled: the order
+    # in which generators enter changes the order of the rays, not the rays
+    for i in range(0, len(kernel), 3):
+        runs = got[len(cases) + i:len(cases) + i + 3]
+        assert sorted(runs[0]) == sorted(runs[1]) == sorted(runs[2]), kernel[i]
 
 
 def kernel_sign_cases():
