@@ -188,7 +188,10 @@ def _parse_s_vars(text: str, ring: RingContext) -> tuple[int, ...]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise InvalidInput("--s-vars needs at least one variable name")
-    return tuple(ring.index_of(name) for name in names)
+    s_idx = tuple(ring.index_of(name) for name in names)
+    if len(set(s_idx)) != len(s_idx):  # the corpus loader's rule
+        raise InvalidInput("--s-vars names a variable twice")
+    return s_idx
 
 
 def _localization_json(report, ring: RingContext) -> dict:
@@ -207,6 +210,8 @@ def _cmd_verify(args) -> int:
     if args.check == "cor26" and args.s_vars is not None:
         raise InvalidInput("verify cor26 takes no --s-vars")
     I = _require_ideal(args)
+    # read before any check runs, so a bad --s-vars prints no verdict
+    s_vars = None if args.s_vars is None else _parse_s_vars(args.s_vars, I.ring)
     chain_cap = args.cap if args.cap is not None else DEFAULT_CHAIN_CAP
     loc_cap = args.cap if args.cap is not None else DEFAULT_LOCALIZATION_CAP
     failed = False
@@ -224,8 +229,7 @@ def _cmd_verify(args) -> int:
             print(f"monotone: {'PASS' if verdicts['monotone'] else 'FAIL'}")
             print(f"lemma21i: {'PASS' if verdicts['lemma21i'] else 'FAIL'}")
 
-    if args.s_vars is not None:  # thm31, or all with --s-vars
-        s_vars = _parse_s_vars(args.s_vars, I.ring)
+    if s_vars is not None:  # thm31, or all with --s-vars
         report = verify_localization(I, s_vars, loc_cap)
         payload["thm31"] = _localization_json(report, I.ring)
         failed = failed or (report.admissible and not report.holds())

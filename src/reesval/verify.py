@@ -161,22 +161,26 @@ def closure_oracle_discrepancies(
     Membership is also monotone in m: q <= m and x^{kq} in I^{kn} give
     x^{km} = x^{kq} * x^{k(m-q)} in I^{kn}.  So the route keeps, for each
     dilation n, the samples its search proved members at n (their largest
-    such n), and a kept sample that divides m settles an n of m's walk
-    without a search.  The kept samples of one n sit in guard-bit lanes
-    (`lanes.any_below` and `lanes.store`, as in `normalize`), one int per
-    coordinate with one lane per sample, so "some kept q <= m" is d big-int
-    steps.  Only search answers are kept, so the result does not depend on
-    the order of `monomials`; the order only sets how many searches are
-    skipped (`sample_box` lists a divisor before its multiples).
+    such n), and a kept member that divides m settles an n of m's walk
+    without a search.  At n = 1 the generators of I are kept from the
+    start: x^g is in I, the k = 1 witness, so a sample above a generator
+    asks no rung at n = 1.  The kept members of one n sit in guard-bit
+    lanes (`lanes.any_below` and `lanes.store`, as in `normalize`), one
+    int per coordinate with one lane per member, so "some kept q <= m" is
+    d big-int steps.  Only search answers and generators are kept, never
+    a facet, so the result does not depend on the order of `monomials`;
+    the order only sets how many searches are skipped (`sample_box` lists
+    a divisor before its multiples).
 
     So each n still ends up a member exactly when some k <= k_max puts
-    x^{km} in I^{kn}, and no question is asked whose answer the earlier
-    ones imply.  The facets are only hints for the weights, each checked
-    against the generators: a wrong, missing or weakened facet can cost
-    searches but never change an answer of this route.  On honest facets
-    the weight cut equals the facet route's integer, so the dilations left
-    to search are exactly the facet members.  The search is set up once
-    for I (`core._power_search`), and the samples are validated once.
+    x^{km} in I^{kn}, and no question is asked whose answer the generators
+    or the earlier answers imply.  The facets are only hints for the
+    weights, each checked against the generators: a wrong, missing or
+    weakened facet can cost searches but never change an answer of this
+    route.  On honest facets the weight cut equals the facet route's
+    integer, so the dilations left to search are exactly the facet
+    members.  The search is set up once for I (`core._power_search`), and
+    the samples are validated once.
     """
     check_count(k_max, "k_max", 1)
     n_values = tuple(
@@ -218,10 +222,13 @@ def closure_oracle_discrepancies(
     # largest first; rungs: k_max down to the top half's least k
     opens = [[n for n in reversed(dilations) if n <= cut] for cut in range(cap + 1)]
     rungs = range(k_max, k_max // 2, -1)
-    # kept[n]: the search members kept at n, as a `lanes` store
-    width = lanes.width(peak)
+    # kept[n]: the members kept at n, as a `lanes` store; kept[1] starts
+    # with the generators (k = 1: x^g is in I), so the width covers them
+    width = lanes.width(max(peak, *I.max_exponents()))
     empty = ([0] * d, 0)
     kept: dict[int, tuple[list[int], int]] = {}
+    if dilations[0] == 1:
+        kept[1] = reduce(lambda store, g: lanes.store(*store, g, width), I.min_gens, empty)
     bad = []
     for m, cut, top in zip(samples, cuts, tops):
         best = 0  # the largest member dilation

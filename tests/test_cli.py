@@ -135,6 +135,20 @@ def test_verify_thm31_requires_s_vars():
     assert code == 2
 
 
+@pytest.mark.parametrize("check", ["thm31", "all"])
+@pytest.mark.parametrize("s_vars", ["y,y", "x, y,x"])
+def test_verify_s_vars_naming_a_variable_twice_exit_two(check, s_vars, capsys):
+    # a corpus line whose s_vars repeats a name exits 2, and --s-vars holds
+    # the same rule instead of merging the repeat; no verdict is printed
+    for json_flag in ((), ("--json",)):
+        code, out = run_cli(
+            "verify", check, "--ring", "Q[x,y]", "--ideal", "x^2", "--s-vars", s_vars, *json_flag
+        )
+        assert code == 2
+        assert out == ""
+        assert "names a variable twice" in capsys.readouterr().err
+
+
 def test_verify_all_runs_both():
     code, out = run_cli(
         "verify", "all", "--ring", "Q[x,y,z]", "--ideal", "x^2,x*y",
