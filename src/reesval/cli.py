@@ -184,13 +184,14 @@ def _cmd_astar(args) -> int:
     return 0
 
 
-def _parse_s_vars(text: str, ring: RingContext) -> tuple[int, ...]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise InvalidInput("--s-vars needs at least one variable name")
-    s_idx = tuple(ring.index_of(name) for name in names)
-    if len(set(s_idx)) != len(s_idx):  # the corpus loader's rule
-        raise InvalidInput("--s-vars names a variable twice")
+def _s_var_indexes(names, ring: RingContext, label: str) -> tuple[int, ...]:
+    """The indexes of the S variables, by the one rule of `--s-vars` and of
+    a corpus line's `s_vars`: every name is a variable of the ring
+    (`RingContext.index_of`, so an empty name is unknown), and none is
+    given twice."""
+    s_idx = tuple(map(ring.index_of, names))
+    if len(set(s_idx)) != len(s_idx):
+        raise InvalidInput(f"{label} names a variable twice")
     return s_idx
 
 
@@ -211,7 +212,11 @@ def _cmd_verify(args) -> int:
         raise InvalidInput("verify cor26 takes no --s-vars")
     I = _require_ideal(args)
     # read before any check runs, so a bad --s-vars prints no verdict
-    s_vars = None if args.s_vars is None else _parse_s_vars(args.s_vars, I.ring)
+    s_vars = None
+    if args.s_vars is not None:
+        if not args.s_vars.strip():
+            raise InvalidInput("--s-vars needs at least one variable name")
+        s_vars = _s_var_indexes(map(str.strip, args.s_vars.split(",")), I.ring, "--s-vars")
     chain_cap = args.cap if args.cap is not None else DEFAULT_CHAIN_CAP
     loc_cap = args.cap if args.cap is not None else DEFAULT_LOCALIZATION_CAP
     failed = False
@@ -232,7 +237,7 @@ def _cmd_verify(args) -> int:
     if s_vars is not None:  # thm31, or all with --s-vars
         report = verify_localization(I, s_vars, loc_cap)
         payload["thm31"] = _localization_json(report, I.ring)
-        failed = failed or (report.admissible and not report.holds())
+        failed = failed or not report.holds()
         if not args.json:
             status = "PASS" if report.holds() else "FAIL"
             if report.admissible:
@@ -255,8 +260,8 @@ def _load_corpus_entry(line_no: int, line: str) -> dict:
     """One corpus line as {"id", "ideal", "s_idx"}.
 
     The JSON shape, the exponent cap and the non-constant rule are checked
-    here; `RingContext`, `normalize` and `RingContext.index_of` check the
-    names and vectors.  The cap and the non-constant rule read every given
+    here; `RingContext`, `normalize` and `_s_var_indexes` check the names
+    and vectors.  The cap and the non-constant rule read every given
     generator, minimal or not, before `normalize` packs any of them.
     """
     def fail(msg: str) -> None:
@@ -291,11 +296,9 @@ def _load_corpus_entry(line_no: int, line: str) -> dict:
         fail("'s_vars' must be a non-empty list of ring variables")
     try:
         ideal = normalize(gens, RingContext(tuple(ring)))
-        s_idx = None if s_vars is None else tuple(map(ideal.ring.index_of, s_vars))
+        s_idx = None if s_vars is None else _s_var_indexes(s_vars, ideal.ring, "'s_vars'")
     except InvalidInput as exc:
         fail(str(exc))
-    if s_idx is not None and len(set(s_idx)) != len(s_idx):
-        fail("'s_vars' names a variable twice")
     return {"id": entry["id"], "ideal": ideal, "s_idx": s_idx}
 
 

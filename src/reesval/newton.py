@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Sequence
@@ -353,20 +352,19 @@ def np_contains(np_: NewtonPolyhedron, q: Iterable, scale=1) -> bool:
     return all(_dot(a, point) * s_den >= rhs * b for a, b in np_.rows)
 
 
-def capped_dilation_cuts(
-    rows: Sequence[tuple[Sequence[int], int]],
-    points: Sequence[tuple[int, ...]],
-    cap: int,
-) -> list[int]:
+def _capped_dilation_cuts(rows, points, cap: int) -> list[int]:
     """The number of n in 1..cap with the lattice point m >= 0 in n*NP, for
     each point m of `points` in order: min(cap, max(0, cut)) for cut the
     least (a.m) // b over the rows (a, b), or cap when there is no row.
     Offset-0 facets hold at every m >= 0, and a.m >= n*b iff n <= a.m // b
-    for b > 0, so m is in n*NP exactly when n <= its cut.  Every offset b
-    must be at least 1, as in `NewtonPolyhedron.rows`; any other raises
-    InvalidInput, as do a cap that is not an int >= 0, a point entry that
-    is not an int >= 0, and points or normals of different lengths.  These
-    checks read the whole list at once, with no Python call per point.
+    for b > 0, so m is in n*NP exactly when n <= its cut.
+
+    Nothing is checked here.  The rows must be those of a
+    `NewtonPolyhedron` (every offset b at least 1, which makes the count a
+    floor), the cap an int >= 0, and the points non-negative int vectors of
+    the normals' length, checked by the caller: the closure oracle checks
+    each sample once with `check_vector`.  `tests/oracles.py` keeps the
+    exact column code, `dilation_cuts`, as the reference.
 
     Every point is one guard-bit lane of a single int (`lanes`): COL_j
     holds coordinate j of every point, ONE a 1 in every lane and G every
@@ -376,23 +374,9 @@ def capped_dilation_cuts(
     the guard survives iff a.m >= n*b.  The guard bits ANDed over the rows
     give, for each n, the points in n*NP; once none is left, no larger n
     has one.  The masks' guard bits are summed into one int, read back
-    once.  Lanes are at least 64 bits wide, where `lanes` packs at C
+    once.  With no row every lane's guard survives every n, so each cut is
+    cap.  Lanes are at least 64 bits wide, where `lanes` packs at C
     speed."""
-    check_count(cap, "cap", 0)
-    lengths = set(map(len, points)).union(len(a) for a, _ in rows)
-    entries = list(chain.from_iterable(points))
-    if len(lengths) > 1 or not set(map(type, entries)) <= {int} or min(entries, default=0) < 0:
-        raise InvalidInput("points need non-negative int entries and one length, the normals'")
-    for _, b in rows:
-        if b < 1:
-            raise InvalidInput(f"row offsets must be at least 1, got {b}")
-    return _capped_dilation_cuts(rows, points, cap)
-
-
-def _capped_dilation_cuts(rows, points, cap: int) -> list[int]:
-    """`capped_dilation_cuts` on arguments its checks would pass, as the
-    oracle's validated samples and a `NewtonPolyhedron`'s rows are.  With
-    no row, every lane's guard survives every n, so each cut is cap."""
     columns = list(zip(*points))
     top = max(map(max, columns), default=0)
     peak = max(cap, top)
@@ -554,7 +538,7 @@ def vbar(I: MonomialIdeal, m: Iterable[int]) -> Fraction:
     dot product per row where that bound fails.  The minimum is then taken
     by integer cross-multiplication (offsets are positive), and only the
     winner becomes a Fraction; no float enters.  Its floor is the largest
-    n with x^m in closure(I^n).  `capped_dilation_cuts` gives that floor
+    n with x^m in closure(I^n).  `_capped_dilation_cuts` gives that floor
     clamped to 0..cap for many points at once, on one lane per point; the
     closure oracle reads it there."""
     np_ = compute_np(I)

@@ -139,10 +139,9 @@ def closure_oracle_discrepancies(
     n <= the least (a.m) // b over the positive-offset rows (a, b) of the
     polyhedron (offset-0 facets hold at every m >= 0).  For all samples at
     once, `newton._capped_dilation_cuts` gives that integer capped at the
-    largest n asked, on one guard-bit lane per sample.  It is the kernel of
-    `capped_dilation_cuts` without that entry's checks: the samples are
-    checked here once, and the rows are `compute_np`'s.  With no such row
-    every sample is in every dilation.
+    largest n asked, on one guard-bit lane per sample.  It checks nothing:
+    the samples are checked here once, and the rows are `compute_np`'s.
+    With no such row every sample is in every dilation.
 
     The raw-power route asks fewer questions than the definition.  A
     separating weight (see `_separating_weights`) with w.m < n*b proves
@@ -195,7 +194,7 @@ def closure_oracle_discrepancies(
     dilations = sorted(set(n_values))
     cap = dilations[-1]
     # the weight cut, min(cap, w.m // b) over the weights (w, b): one
-    # guard-bit lane per sample, as in `capped_dilation_cuts` (own mask
+    # guard-bit lane per sample, as in `_capped_dilation_cuts` (own mask
     # loop, see above); w >= 0 and b >= 1, and sum(w) >= 1, so the peak
     # covers the sample entries, every w.m and every n*b.  With no weight
     # every guard survives every n, and each cut is cap

@@ -38,7 +38,6 @@ from reesval import (
 )
 from reesval.cli import run_corpus
 from reesval.core import check_vector
-from reesval.newton import capped_dilation_cuts
 from reesval.sampling import sample_box
 
 R2 = RingContext(("x", "y"))
@@ -64,8 +63,6 @@ ARGUMENTS = {
     "saturate": ("variable index", 0, lambda v: saturate(I, [v])),
     "closure_oracle.k_max": ("k_max", 1, lambda v: oracle(k_max=v)),
     "closure_oracle.n_values": ("n_values", 1, lambda v: oracle(n=v)),
-    "capped_dilation_cuts": ("cap", 0, lambda v: capped_dilation_cuts([((1, 1), 1)], [(1, 2)], v)),
-    "capped_dilation_cuts.no_rows": ("cap", 0, lambda v: capped_dilation_cuts([], [(1, 2)], v)),
     "run_corpus.n_cap": ("n_cap", 1, lambda v: run_corpus(MISSING_CORPUS, n_cap=v)),
     "run_corpus.jobs": ("jobs", 1, lambda v: run_corpus(MISSING_CORPUS, jobs=v)),
     "associated_primes_bruteforce": ("box_bound", 1, lambda v: associated_primes_bruteforce(I, v)),
@@ -137,18 +134,8 @@ def test_ring_and_text_arguments_of_the_parsers(parse):
 
 def test_vector_lengths_and_entries_are_checked_not_truncated():
     # zip stops at the shorter vector, so a length mismatch once passed
-    # silently; a negative or non-int point entry reached the lane packing
+    # silently
     for a, m in (((1, 2), (1,)), ((1,), (1, 0)), ((), (0,))):
         with pytest.raises(InvalidInput, match=r"^vector\b"):
             divides(a, m)
     assert divides((1, 0), (1, 2)) and not divides((1, 3), (1, 2))
-    row = [((1, 1), 1)]
-    for rows, points in ((row, [(1, 2), (3,)]), (row, [(1, 2, 0)]), ([], [(1, 2), (3,)])):
-        with pytest.raises(InvalidInput, match=r"^points\b"):
-            capped_dilation_cuts(rows, points, 2)
-    for rows in (row, []):
-        for bad in (-1, True, 1.0, None):
-            with pytest.raises(InvalidInput, match=r"^points\b"):
-                capped_dilation_cuts(rows, [(1, 2), (0, bad)], 2)
-    assert capped_dilation_cuts(row, [(1, 2), (3, 0)], 2) == [2, 2]
-    assert capped_dilation_cuts(row, [], 2) == capped_dilation_cuts([], [], 2) == []

@@ -149,6 +149,24 @@ def test_verify_s_vars_naming_a_variable_twice_exit_two(check, s_vars, capsys):
         assert "names a variable twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["thm31", "all"])
+@pytest.mark.parametrize("s_vars", ["y,,", ",y", "y,"])
+def test_verify_s_vars_with_an_empty_name_exit_two(check, s_vars, capsys):
+    # an empty name is no ring variable: --s-vars exits 2 on it, as a
+    # corpus line with "s_vars": ["y", ""] does, and prints no verdict
+    for json_flag in ((), ("--json",)):
+        code, out = run_cli(
+            "verify", check, "--ring", "Q[x,y]", "--ideal", "x^2,x*y", "--s-vars", s_vars,
+            *json_flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown variable ''" in capsys.readouterr().err
+    line = '{"id": "e", "ring": ["x", "y"], "gens": [[2, 0], [1, 1]], "s_vars": ["y", ""]}'
+    with pytest.raises(InvalidInput, match="^line 1: unknown variable ''$"):
+        _load_corpus_entry(1, line)
+
+
 def test_verify_all_runs_both():
     code, out = run_cli(
         "verify", "all", "--ring", "Q[x,y,z]", "--ideal", "x^2,x*y",

@@ -2,7 +2,6 @@
 localization check, including the pinned negative example."""
 
 import hashlib
-import io
 import json
 import random
 from math import prod
@@ -12,7 +11,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import reesval.newton
 import reesval.verify
 from reesval import (
     FacetInequality,
@@ -34,7 +32,7 @@ from reesval import (
     samuel_order,
     verify_localization,
 )
-from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP, run_corpus
+from reesval.cli import ORACLE_DILATIONS, ORACLE_SAMPLE_CAP
 from reesval.sampling import sample_box
 from reesval.verify import _separating_weights
 from oracles import dilation_cuts, in_closure_by_powers
@@ -214,34 +212,6 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
 
     monkeypatch.setattr(reesval.verify, "_capped_dilation_cuts", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
-
-
-def test_closure_oracle_checks_its_samples_once(monkeypatch, corpus_ideals):
-    # the oracle checks its samples (check_vector) and hands them, with
-    # compute_np's rows, to the cut kernel; the public entry, whose checks
-    # would read every sample again, is not on its path, so refusing it
-    # changes no answer on the corpus samples at seed 0 or on a case with
-    # discrepancies (k = 1 alone misses members), and a corpus run still
-    # passes
-    cases = [
-        (I, sample_box(I.max_exponents(), ORACLE_SAMPLE_CAP, f"0:{entry['id']}"), 12)
-        for entry, I in corpus_ideals
-    ]
-    cases.append((ideal_in(R2, (2, 0), (0, 3)), [(a, b) for a in range(4) for b in range(5)], 1))
-
-    def answers():
-        return [closure_oracle_discrepancies(I, ms, ORACLE_DILATIONS, k) for I, ms, k in cases]
-
-    before = answers()
-    assert before[-1]
-
-    def refused(rows, points, cap):
-        raise AssertionError("the oracle checked its samples a second time")
-
-    monkeypatch.setattr(reesval.newton, "capped_dilation_cuts", refused)
-    monkeypatch.setattr(reesval.verify, "capped_dilation_cuts", refused, raising=False)
-    assert answers() == before
-    assert run_corpus(str(REPO / "corpus" / "standard.jsonl"), out=io.StringIO()) == 0
 
 
 def test_sample_box_keeps_its_lists(corpus_ideals):
