@@ -41,7 +41,6 @@ from .newton import (
 )
 from .parser import parse_ideal, parse_monomial, parse_ring, render_ideal, render_monomial
 from .primes import (
-    IrreducibleComponent,
     MonomialPrime,
     associated_primes,
     associated_primes_bruteforce,

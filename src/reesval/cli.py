@@ -172,7 +172,7 @@ def _astar_json(report, ring: RingContext, verdicts: dict) -> dict:
 
 def _cmd_astar(args) -> int:
     I = _require_ideal(args)
-    report = a_star(I, args.cap if args.cap is not None else DEFAULT_CHAIN_CAP)
+    report = a_star(I, args.cap)
     if args.json:
         print(_dump(_astar_json(report, I.ring, _astar_verdicts(report))))
     else:
@@ -409,7 +409,7 @@ def _cmd_corpus(args) -> int:
     return run_corpus(
         args.path,
         seed=args.seed,
-        n_cap=args.cap if args.cap is not None else DEFAULT_CHAIN_CAP,
+        n_cap=args.cap,
         jobs=args.jobs,
         timings=args.timings,
     )
@@ -443,13 +443,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vbar)
 
     p = sub.add_parser("astar", parents=[common], help="associated-prime chain and A*")
-    p.add_argument("--cap", type=int, default=None, help="chain cap (default 8)")
+    p.add_argument("--cap", type=int, default=DEFAULT_CHAIN_CAP,
+                   help="chain cap (default %(default)s)")
     p.set_defaults(func=_cmd_astar)
 
     p = sub.add_parser("verify", parents=[common], help="run the identity and localization checks")
     p.add_argument("check", choices=["cor26", "thm31", "all"])
+    # one --cap serves both caps, so it defaults to None and each check
+    # falls back to its own constant
     p.add_argument("--cap", type=int, default=None,
-                   help="chain cap for cor26 (default 8) / power cap for thm31 (default 4)")
+                   help=f"chain cap for cor26 (default {DEFAULT_CHAIN_CAP}) / "
+                   f"power cap for thm31 (default {DEFAULT_LOCALIZATION_CAP})")
     p.add_argument("--s-vars", default=None,
                    help="comma-separated variable names generating S (thm31)")
     p.set_defaults(func=_cmd_verify)
@@ -457,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="verify a JSON-lines corpus")
     p.add_argument("path", help="corpus file, one entry per line")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled oracle check")
-    p.add_argument("--cap", type=int, default=None, help="chain cap (default 8)")
+    p.add_argument("--cap", type=int, default=DEFAULT_CHAIN_CAP,
+                   help="chain cap (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--timings", action="store_true",
                    help="include per-entry wall-clock timings (not byte-stable)")

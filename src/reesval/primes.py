@@ -3,7 +3,9 @@
 `associated_primes` reads them off the irredundant irreducible decomposition,
 built by adding one generator at a time: a component that misses the new
 generator gives way to its sums with that generator's variable powers, and a
-grown component that contains another one is dropped.  Nothing is memoized.
+grown component that contains another one is dropped.  A component is its
+bounds, the (index, exponent) pairs of the pure powers x_v^e that generate
+it; `irreducible_decomposition` returns them sorted.  Nothing is memoized.
 
 `associated_primes_bruteforce` rederives the same set straight from the
 definition (a prime is associated when it appears as a colon ideal) by
@@ -23,7 +25,6 @@ from .core import (
     check_count,
     check_indexes,
     colon,
-    normalize,
     require_proper_nonzero,
 )
 from .errors import InvalidInput
@@ -54,50 +55,12 @@ class MonomialPrime(Record):
             raise InvalidInput("prime uses a variable outside the ring")
         return tuple(ring.variable_names[i] for i in self.vars)
 
-    def as_ideal(self, ring: RingContext) -> MonomialIdeal:
-        return IrreducibleComponent(tuple((v, 1) for v in self.vars)).as_ideal(ring)
 
-
-class IrreducibleComponent(Record):
-    """Ideal generated by pure powers x_v^e, stored as (index, exponent) pairs.
-
-    `irreducible_decomposition` builds its components with
-    `_trusted(bounds)`, from a non-empty tuple of (index, exponent) int
-    pairs with strictly ascending indexes >= 0 and exponents >= 1."""
-
-    __slots__ = __match_args__ = ("bounds",)
-    bounds: tuple[tuple[int, int], ...]
-
-    def _check(self) -> None:
-        bounds = tuple(
-            (check_count(v, "variable index", 0), check_count(e, "exponent", 1))
-            for v, e in self.bounds
-        )
-        object.__setattr__(self, "bounds", bounds)
-        idxs = [v for v, _ in bounds]
-        if not bounds or idxs != sorted(set(idxs)):
-            raise InvalidInput("component bounds need ascending distinct variables")
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.bounds)
-
-    def as_ideal(self, ring: RingContext) -> MonomialIdeal:
-        d = ring.dimension
-        if self.bounds[-1][0] >= d:
-            raise InvalidInput("component uses a variable outside the ring")
-        return normalize(
-            (tuple(e if i == v else 0 for i in range(d)) for v, e in self.bounds), ring
-        )
-
-    def sort_key(self):
-        return (len(self.bounds), self.bounds)
-
-
-def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """Irredundant irreducible components whose intersection is J, in
-    `IrreducibleComponent.sort_key` order (see `_component_bounds`)."""
-    found = map(IrreducibleComponent._trusted, _component_bounds(J))
-    return tuple(sorted(found, key=IrreducibleComponent.sort_key))
+def irreducible_decomposition(J: MonomialIdeal) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Bounds of the irredundant irreducible components whose intersection
+    is J, indexes ascending within each, sorted by (number of bounds,
+    bounds) (see `_component_bounds`)."""
+    return tuple(sorted(_component_bounds(J), key=lambda b: (len(b), b)))
 
 
 def associated_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:

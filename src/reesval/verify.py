@@ -218,8 +218,11 @@ def closure_oracle_discrepancies(
     cuts = lanes.unpack(total, len(samples), lane_width)
     tops = _capped_dilation_cuts(np_.rows, samples, cap)
     # opens[cut]: the open dilations of a sample with that weight cut,
-    # largest first; rungs: k_max down to the top half's least k
-    opens = [[n for n in reversed(dilations) if n <= cut] for cut in range(cap + 1)]
+    # largest first, up to the largest cut taken, since cap may lie far
+    # above every sample's cut; rungs: k_max down to the top half's least k
+    opens = [
+        [n for n in reversed(dilations) if n <= cut] for cut in range(max(cuts, default=0) + 1)
+    ]
     rungs = range(k_max, k_max // 2, -1)
     # kept[n]: the members kept at n, as a `lanes` store; kept[1] starts
     # with the generators (k = 1: x^g is in I), so the width covers them

@@ -361,6 +361,13 @@ def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     )
 
 
+def pure_powers(ring, bounds) -> MonomialIdeal:
+    """The ideal generated by x_v^e for the (v, e) in bounds: an irreducible
+    component from its bounds, or a monomial prime when every e is 1."""
+    d = ring.dimension
+    return normalize([tuple(e if i == v else 0 for i in range(d)) for v, e in bounds], ring)
+
+
 def colon_witness(J: MonomialIdeal, bounds) -> tuple[int, ...]:
     """Witness w of the component (x_v^{b_v}) of J: (J : w) is the prime on
     the component's support exactly when the component is irredundant.

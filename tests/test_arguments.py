@@ -14,7 +14,6 @@ import pytest
 from reesval import (
     FacetInequality,
     InvalidInput,
-    IrreducibleComponent,
     MonomialIdeal,
     MonomialPrime,
     RingContext,
@@ -70,8 +69,6 @@ ARGUMENTS = {
     "sample_box.bound": ("bound", 0, lambda v: sample_box((3, v), 5, "k")),
     "FacetInequality.offset": ("offset", 0, lambda v: FacetInequality((1, 1), v)),
     "MonomialPrime": ("variable index", 0, lambda v: MonomialPrime((v,))),
-    "IrreducibleComponent.index": ("variable index", 0, lambda v: IrreducibleComponent(((v, 2),))),
-    "IrreducibleComponent.exponent": ("exponent", 1, lambda v: IrreducibleComponent(((1, v),))),
 }
 
 

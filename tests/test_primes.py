@@ -1,11 +1,13 @@
 """Irreducible decomposition and associated primes, against worked
 examples, a reconstruction property, and the colon-scan oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from reesval import (
     InvalidInput,
-    IrreducibleComponent,
     MonomialPrime,
     RingContext,
     associated_primes,
@@ -19,7 +21,7 @@ from reesval import (
     unit_ideal,
     zero_ideal,
 )
-from oracles import colon_witness, contains_ideal, ideal_intersection
+from oracles import colon_witness, contains_ideal, ideal_intersection, pure_powers
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -36,6 +38,11 @@ def primes_of(names_sets, ring):
     )
 
 
+def prime_of(bounds, ring):
+    """The monomial prime on the support of a component's bounds."""
+    return pure_powers(ring, ((v, 1) for v, _ in bounds))
+
+
 def intersect_all(ideals):
     result = ideals[0]
     for other in ideals[1:]:
@@ -48,21 +55,22 @@ def intersect_all(ideals):
 def test_decomposition_x2_xy():
     J = ideal2((2, 0), (1, 1))
     comps = irreducible_decomposition(J)
-    as_ideals = {c.as_ideal(R2).min_gens for c in comps}
-    assert as_ideals == {((1, 0),), ((0, 1), (2, 0))}
-    assert equals(intersect_all([c.as_ideal(R2) for c in comps]), J)
+    assert comps == (((0, 1),), ((0, 2), (1, 1)))
+    assert {pure_powers(R2, c).min_gens for c in comps} == {((1, 0),), ((0, 1), (2, 0))}
+    assert equals(intersect_all([pure_powers(R2, c) for c in comps]), J)
 
 
 def test_decomposition_xy():
     comps = irreducible_decomposition(ideal2((1, 1)))
-    assert {c.as_ideal(R2).min_gens for c in comps} == {((1, 0),), ((0, 1),)}
+    assert comps == (((0, 1),), ((1, 1),))
+    assert {pure_powers(R2, c).min_gens for c in comps} == {((1, 0),), ((0, 1),)}
 
 
 def test_decomposition_pure_powers_is_already_irreducible():
     J = ideal2((2, 0), (0, 3))
     comps = irreducible_decomposition(J)
-    assert len(comps) == 1
-    assert equals(comps[0].as_ideal(R2), J)
+    assert comps == (((0, 2), (1, 3)),)
+    assert equals(pure_powers(R2, comps[0]), J)
 
 
 def test_decomposition_rejects_unit_and_zero():
@@ -73,32 +81,24 @@ def test_decomposition_rejects_unit_and_zero():
 
 
 def test_component_outside_the_ring_is_rejected():
-    # a variable outside the ring is an error for a component, as for a
-    # prime, never a bound to drop
-    for bounds in (((5, 1),), ((0, 2), (2, 1))):
-        with pytest.raises(InvalidInput):
-            IrreducibleComponent(bounds).as_ideal(R2)
-    with pytest.raises(InvalidInput):
-        MonomialPrime((5,)).as_ideal(R2)
-    for vars_ in ((2,), (0, 2)):  # naming the prime, too
+    # naming a prime with a variable outside the ring is an error, never a
+    # name to drop
+    for vars_ in ((2,), (0, 2)):
         with pytest.raises(InvalidInput):
             MonomialPrime(vars_).names(R2)
     assert MonomialPrime((0, 1)).names(R2) == ("x", "y")
-    # a monomial prime is the component with every exponent 1
-    assert MonomialPrime((0, 1)).as_ideal(R2) == ideal2((1, 0), (0, 1))
-    assert IrreducibleComponent(((1, 3),)).as_ideal(R2) == ideal2((0, 3))
 
 
 def test_decomposition_reconstruction_over_corpus(corpus_ideals):
     for entry, ideal in corpus_ideals:
-        comps = [c.as_ideal(ideal.ring) for c in irreducible_decomposition(ideal)]
+        comps = [pure_powers(ideal.ring, c) for c in irreducible_decomposition(ideal)]
         assert equals(intersect_all(comps), ideal), entry["id"]
 
 
 def test_decomposition_irredundant_over_corpus(corpus_ideals):
     # every component is needed: dropping it changes the intersection
     for entry, ideal in corpus_ideals:
-        comps = [c.as_ideal(ideal.ring) for c in irreducible_decomposition(ideal)]
+        comps = [pure_powers(ideal.ring, c) for c in irreducible_decomposition(ideal)]
         if len(comps) == 1:
             continue
         if len(comps) > 8:
@@ -114,16 +114,30 @@ def test_decomposition_colon_certificates_over_corpus_closures(corpus_ideals):
         for n in (1, 2):
             J = integral_closure_power(ideal, n)
             for comp in irreducible_decomposition(J):
-                prime = MonomialPrime(comp.support()).as_ideal(J.ring)
-                got = colon(J, colon_witness(J, comp.bounds))
-                assert equals(got, prime), (entry["id"], n, comp)
+                got = colon(J, colon_witness(J, comp))
+                assert equals(got, prime_of(comp, J.ring)), (entry["id"], n, comp)
+
+
+def test_decomposition_content_and_order_are_pinned(corpus_ideals):
+    # the bounds of every component of closure(I^n), n = 1, 2, 3, for every
+    # corpus entry in file order, in the order the decomposition gives them;
+    # 123 decompositions with 1 264 components in all
+    found = [
+        [list(map(list, c)) for c in irreducible_decomposition(integral_closure_power(I, n))]
+        for _, I in corpus_ideals
+        for n in (1, 2, 3)
+    ]
+    assert (len(found), sum(map(len, found))) == (123, 1264)
+    digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()[:16]
+    assert digest == "157c5cb5d3d7bb9d"
 
 
 def test_decomposition_certified_at_field_edges():
     # bounds are packed into fields one bit wider than big = 1 + the
     # largest exponent, so big runs through 2^k - 1 and 2^k here; the
     # intersection and one colon witness per component certify the result,
-    # and each component holds the bounds the public constructor would check
+    # and each component is a tuple of int pairs, indexes ascending and
+    # distinct inside the ring, exponents at least 1
     R1 = RingContext(("x",))
     R6 = RingContext(("x", "y", "z", "w", "u", "v"))
     ideals = [normalize([(e,)], R1) for e in (1, 2, 3, 6, 7, 14, 15)]
@@ -138,12 +152,14 @@ def test_decomposition_certified_at_field_edges():
     ideals += [normalize(squares, R6), normalize(edges, R6), normalize(squares[:3] + edges[3:], R6)]
     for J in ideals:
         comps = irreducible_decomposition(J)
-        assert intersect_all([c.as_ideal(J.ring) for c in comps]) == J, J.min_gens
+        assert intersect_all([pure_powers(J.ring, c) for c in comps]) == J, J.min_gens
         for comp in comps:
-            # built unchecked, so the public constructor must accept it as is
-            assert IrreducibleComponent(comp.bounds) == comp
-            prime = MonomialPrime(comp.support()).as_ideal(J.ring)
-            assert colon(J, colon_witness(J, comp.bounds)) == prime, (J.min_gens, comp)
+            idxs = [v for v, _ in comp]
+            assert type(comp) is tuple and comp, (J.min_gens, comp)
+            assert idxs == sorted(set(idxs)) and 0 <= idxs[0] and idxs[-1] < J.ring.dimension
+            assert all(type(p) is tuple and len(p) == 2 for p in comp), (J.min_gens, comp)
+            assert all(type(v) is int and type(e) is int and e >= 1 for v, e in comp)
+            assert colon(J, colon_witness(J, comp)) == prime_of(comp, J.ring), (J.min_gens, comp)
 
 
 # --- associated primes --------------------------------------------------------
@@ -161,10 +177,10 @@ def test_associated_primes_xy():
 def test_associated_primes_of_prime_is_itself():
     for vars_ in [(0,), (1,), (0, 1)]:
         P = MonomialPrime(vars_)
-        assert associated_primes(P.as_ideal(R2)) == frozenset({P})
+        assert associated_primes(pure_powers(R2, ((v, 1) for v in vars_))) == frozenset({P})
     for vars_ in [(0,), (0, 2), (0, 1, 2)]:
         P = MonomialPrime(vars_)
-        assert associated_primes(P.as_ideal(R3)) == frozenset({P})
+        assert associated_primes(pure_powers(R3, ((v, 1) for v in vars_))) == frozenset({P})
 
 
 def test_bruteforce_examples():

@@ -33,6 +33,7 @@ from oracles import (
     facets_bruteforce,
     ideal_intersection,
     minimal_lattice_members_ref,
+    pure_powers,
 )
 
 NAMES = ("x", "y", "z", "w", "u", "v")
@@ -360,23 +361,17 @@ def test_ass_two_routes_randomized():
             ideal.min_gens
 
 
-def pure_powers(ring, bounds):
-    """The ideal generated by x_v^e for the (v, e) in bounds."""
-    d = ring.dimension
-    return normalize([tuple(e if i == v else 0 for i in range(d)) for v, e in bounds], ring)
-
-
 def test_decomposition_certified_randomized():
     # intersection J plus a colon certificate per component pin down the
     # unique irredundant decomposition; only core operations check it
     for ideal in random_ideals(150, seed=606):
         for J in (ideal, ideal_power(ideal, 2)):
             comps = irreducible_decomposition(J)
-            parts = (pure_powers(J.ring, c.bounds) for c in comps)
+            parts = (pure_powers(J.ring, c) for c in comps)
             assert reduce(ideal_intersection, parts) == J, J.min_gens
             for c in comps:
-                prime = pure_powers(J.ring, ((v, 1) for v, _ in c.bounds))
-                assert colon(J, colon_witness(J, c.bounds)) == prime, (J.min_gens, c)
+                prime = pure_powers(J.ring, ((v, 1) for v, _ in c))
+                assert colon(J, colon_witness(J, c)) == prime, (J.min_gens, c)
 
 
 def test_centers_identity_randomized():

@@ -4,6 +4,7 @@ localization check, including the pinned negative example."""
 import hashlib
 import json
 import random
+import tracemalloc
 from math import prod
 from operator import le, mul
 from pathlib import Path
@@ -161,6 +162,27 @@ def test_closure_oracle_agreement_small():
     big = 2**63
     huge = [(big, 0), (0, big - 1), (big, 3 * big), (1, 1), (2, 3**45)]
     assert closure_oracle_discrepancies(I, huge) == []
+
+
+def test_closure_oracle_table_is_sized_by_the_samples_not_the_dilations():
+    # each sample's weight cut is at most its own cut (4 for x^4*y^6 on
+    # 3x + 2y >= 6), so a far larger dilation asked adds no table rows; one
+    # row per n up to 10**5 would trace about 9 MB.  At k_max = 1, x*y^2 is
+    # in NP but not in I, so the answer is not empty
+    I = ideal_in(R2, (2, 0), (0, 3))
+    samples = [(1, 1), (1, 2), (4, 6)]
+    for k_max in (1, 12):
+        expected = closure_oracle_discrepancies(I, samples, (1, 3), k_max)
+        assert bool(expected) == (k_max == 1)
+        tracemalloc.start()
+        try:
+            got = closure_oracle_discrepancies(I, samples, (1, 10**5), k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 2**20, peak
+    assert closure_oracle_discrepancies(I, [], (1, 10**5)) == []
 
 
 def test_closure_oracle_matches_literal_definition():
