@@ -11,7 +11,6 @@ from .core import (
     RingContext,
     colon,
     contains_in_power,
-    contains_monomial,
     divides,
     equals,
     ideal_power,
@@ -19,7 +18,6 @@ from .core import (
     normalize,
     saturate,
     unit_ideal,
-    zero_ideal,
 )
 from .errors import (
     EmptyIdealError,
@@ -47,7 +45,7 @@ from .primes import (
     irreducible_decomposition,
     minimal_primes,
 )
-from .valuations import BStarSet, b_star, center, rees_valuations, value
+from .valuations import BStarSet, b_star, center, rees_valuations
 from .verify import (
     AsymptoticReport,
     LocalizationReport,

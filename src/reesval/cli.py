@@ -242,10 +242,12 @@ def _cmd_verify(args) -> int:
             status = "PASS" if report.holds() else "FAIL"
             if report.admissible:
                 print(f"thm31: {status} (S admissible, n=1..{loc_cap})")
-            else:
+            elif report.holds():
                 witness = report.counter_witness()
-                note = f"counter-witness n={witness}" if witness else "no counter-witness found"
-                print(f"thm31: S meets a center (inadmissible); {note}")
+                print(f"thm31: S meets a center (inadmissible); counter-witness n={witness}")
+            else:  # an inadmissible S must move every closure
+                fixed = next(n for n, ok in report.per_n if ok)
+                print(f"thm31: FAIL (S meets a center, yet saturating at S fixes n={fixed})")
     elif args.check == "all":  # thm31 needs S: report it as not checked
         payload["thm31"] = None
         if not args.json:

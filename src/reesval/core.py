@@ -175,10 +175,6 @@ def require_proper_nonzero(J: MonomialIdeal) -> None:
         raise InvalidInput("operation needs a proper nonzero ideal")
 
 
-def zero_ideal(ring: RingContext) -> MonomialIdeal:
-    return MonomialIdeal(ring, ())
-
-
 def unit_ideal(ring: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ring, ((0,) * ring.dimension,))
 
@@ -265,12 +261,6 @@ def normalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal
             mins.append(g)
             columns, guard = lanes.store(columns, guard, g, w)
     return MonomialIdeal._trusted(ring, tuple(mins))
-
-
-def contains_monomial(J: MonomialIdeal, m: Iterable[int]) -> bool:
-    """True iff some minimal generator divides x^m."""
-    m = check_vector(J.ring.dimension, m)
-    return any(divides(g, m) for g in J.min_gens)
 
 
 def equals(J: MonomialIdeal, K: MonomialIdeal) -> bool:

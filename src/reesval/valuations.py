@@ -10,10 +10,8 @@ strictly positive value).  The set of centers is B*(I).
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import mul
-from typing import Iterable
 
-from .core import MonomialIdeal, Record, check_vector
+from .core import MonomialIdeal, Record
 from .newton import FacetInequality, compute_np
 from .primes import MonomialPrime
 
@@ -30,11 +28,6 @@ def rees_valuations(I: MonomialIdeal) -> tuple[FacetInequality, ...]:
     then normal)."""
     np_ = compute_np(I)  # rejects unit/zero ideals
     return tuple(f for f in np_.facets if f.offset > 0)
-
-
-def value(v: FacetInequality, m: Iterable[int]) -> int:
-    """The valuation applied to x^m (a dot product)."""
-    return sum(map(mul, v.normal, check_vector(len(v.normal), m)))
 
 
 def center(v: FacetInequality) -> MonomialPrime:

@@ -78,8 +78,11 @@ class LocalizationReport(Record):
         return next((n for n, ok in self.per_n if not ok), None)
 
     def holds(self) -> bool:
-        """The localization statement, vacuous when S meets a center."""
-        return not self.admissible or all(ok for _, ok in self.per_n)
+        """The localization statement in both directions: saturating at S
+        fixes closure(I^n) exactly when S avoids every center, so every
+        per-n answer equals `admissible` (README, "Why thm31 is settled at
+        every n")."""
+        return all(ok == self.admissible for _, ok in self.per_n)
 
 
 def a_star(I: MonomialIdeal, n_cap: int = DEFAULT_CHAIN_CAP) -> AsymptoticReport:
@@ -104,12 +107,15 @@ def verify_localization(
     s_var_indexes: Iterable[int],
     n_cap: int = DEFAULT_LOCALIZATION_CAP,
 ) -> LocalizationReport:
-    """Check that saturating closure(I^n) at the chosen variables fixes it.
+    """Check whether saturating closure(I^n) at the chosen variables fixes
+    it, for n = 1..n_cap.
 
     Admissible means the variables avoid every valuation center (so the
-    multiplicative set they generate misses all centers).  Inadmissible
-    inputs are still processed, observationally: the same checks run, and a
-    failing n is reported as a counter-witness instead of an error.
+    multiplicative set they generate misses all centers); it is read off
+    the facets, and the per-n answers off the walked closures.  The report
+    holds when every answer equals `admissible`: for inadmissible S each
+    saturation must move its closure, and the first n where one moves is
+    the counter-witness.
     """
     s_vars = check_var_indexes(I.ring.dimension, s_var_indexes)
     check_count(n_cap, "n_cap", 1)
@@ -218,11 +224,9 @@ def closure_oracle_discrepancies(
     cuts = lanes.unpack(total, len(samples), lane_width)
     tops = _capped_dilation_cuts(np_.rows, samples, cap)
     # opens[cut]: the open dilations of a sample with that weight cut,
-    # largest first, up to the largest cut taken, since cap may lie far
-    # above every sample's cut; rungs: k_max down to the top half's least k
-    opens = [
-        [n for n in reversed(dilations) if n <= cut] for cut in range(max(cuts, default=0) + 1)
-    ]
+    # largest first, for the cuts taken only, since cap may lie far above
+    # every sample's cut; rungs: k_max down to the top half's least k
+    opens = {cut: [n for n in reversed(dilations) if n <= cut] for cut in set(cuts)}
     rungs = range(k_max, k_max // 2, -1)
     # kept[n]: the members kept at n, as a `lanes` store; kept[1] starts
     # with the generators (k = 1: x^g is in I), so the width covers them

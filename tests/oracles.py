@@ -22,8 +22,9 @@ The corpus-line rules here are written out by hand, field by field; the
 library's loader leaves the names and vectors to `RingContext` and
 `normalize`.
 
-The ideal sum, intersection and containment at the end are helpers that
-only the tests use; they build on the library's `normalize`.
+The zero ideal, monomial membership, and the ideal sum, intersection and
+containment at the end are helpers that only the tests use; they build on
+the library's `MonomialIdeal`, `check_vector` and `normalize`.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from reesval import (
     MAX_DIMENSION,
     MAX_INPUT_EXPONENT,
     MonomialIdeal,
+    RingContext,
     contains_in_power,
-    contains_monomial,
     divides,
     normalize,
 )
-from reesval.core import _same_ring
+from reesval.core import _same_ring, check_vector
 
 
 def rational_rank(rows) -> int:
@@ -429,6 +430,16 @@ def corpus_line_accepted_ref(line: str) -> bool:
         and all(isinstance(v, str) and v in ring for v in s_vars)
         and len(set(s_vars)) == len(s_vars)
     )
+
+
+def zero_ideal(ring: RingContext) -> MonomialIdeal:
+    return MonomialIdeal(ring, ())
+
+
+def contains_monomial(J: MonomialIdeal, m) -> bool:
+    """True iff some minimal generator divides x^m."""
+    m = check_vector(J.ring.dimension, m)
+    return any(divides(g, m) for g in J.min_gens)
 
 
 def ideal_sum(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:

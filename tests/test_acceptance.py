@@ -22,7 +22,6 @@ from reesval import (
     associated_primes_bruteforce,
     b_star,
     closure_oracle_discrepancies,
-    contains_monomial,
     integral_closure_power,
     normalize,
     rees_valuations,
@@ -33,7 +32,7 @@ from reesval import (
 from reesval.cli import ORACLE_SAMPLE_CAP, run_corpus
 from reesval.sampling import sample_box
 from conftest import CORPUS_PATH
-from oracles import closure_by_power_oracle, facets_bruteforce
+from oracles import closure_by_power_oracle, contains_monomial, facets_bruteforce
 
 MAX_RUNTIME_SECONDS = 60.0
 SEED = 0

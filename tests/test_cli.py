@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval import (
+    BStarSet,
     InvalidInput,
     MonomialPrime,
     RingContext,
@@ -128,6 +129,44 @@ def test_verify_thm31_inadmissible_counter_witness():
     payload = json.loads(out)
     assert payload["admissible"] is False
     assert payload["counter_witness"] == 1
+
+
+def test_thm31_fails_when_an_inadmissible_saturation_fixes_the_closure(monkeypatch):
+    # a saturation that never moves a closure makes every per-n answer
+    # True, which an inadmissible S (g04's y meets the center (x, y)) denies
+    import reesval.verify as verify_module
+
+    monkeypatch.setattr(verify_module, "saturate", lambda J, s_vars: J)
+    code, out = run_cli("corpus", str(CORPUS_PATH))
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["summary"]["failed_ids"] == ["g04-x2-xy-sat-y"]
+    argv = ("verify", "thm31", "--ring", "Q[x,y]", "--ideal", "x^2, x*y", "--s-vars", "y")
+    code, out = run_cli(*argv)
+    assert code == 1
+    assert out == "thm31: FAIL (S meets a center, yet saturating at S fixes n=1)\n"
+    code, out = run_cli(*argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["admissible"] is False and payload["holds"] is False
+    assert payload["counter_witness"] is None
+
+
+def test_thm31_fails_when_b_star_drops_the_centers_meeting_s(monkeypatch):
+    # without the center (x, y), S = {y} reads as admissible, but
+    # saturating at y still moves every closure of (x^2, xy)
+    import reesval.verify as verify_module
+
+    honest = verify_module.b_star
+    y = 1
+    monkeypatch.setattr(
+        verify_module, "b_star",
+        lambda I: BStarSet(frozenset(c for c in honest(I).centers if y not in c.vars)),
+    )
+    code, out = run_cli(
+        "verify", "thm31", "--ring", "Q[x,y]", "--ideal", "x^2, x*y", "--s-vars", "y"
+    )
+    assert code == 1
+    assert out == "thm31: FAIL (S admissible, n=1..4)\n"
 
 
 def test_verify_thm31_requires_s_vars():

@@ -22,7 +22,6 @@ from reesval import (
     colon,
     compute_np,
     contains_in_power,
-    contains_monomial,
     divides,
     equals,
     ideal_power,
@@ -31,17 +30,18 @@ from reesval import (
     saturate,
     unit_ideal,
     verify_localization,
-    zero_ideal,
 )
 from reesval import core
 from reesval.core import _power_search, monomial_key
 from oracles import (
+    contains_monomial,
     ideal_intersection,
     ideal_sum,
     minimal_generators_ref,
     monomial_in_power_ref,
     power_search_nodes_ref,
     upset_in_box,
+    zero_ideal,
 )
 
 R1 = RingContext(("x",))

@@ -20,7 +20,6 @@ from reesval import (
     NewtonPolyhedron,
     RingContext,
     compute_np,
-    contains_monomial,
     equals,
     ideal_power,
     integral_closure_power,
@@ -30,16 +29,17 @@ from reesval import (
     samuel_order,
     unit_ideal,
     vbar,
-    zero_ideal,
 )
 from reesval.newton import _capped_dilation_cuts
 from oracles import (
     closure_by_power_oracle,
     contains_ideal,
+    contains_monomial,
     dilation_cuts,
     facets_bruteforce,
     monomial_in_power_ref,
     rational_rank,
+    zero_ideal,
 )
 
 R1 = RingContext(("x",))

@@ -19,9 +19,8 @@ from reesval import (
     minimal_primes,
     normalize,
     unit_ideal,
-    zero_ideal,
 )
-from oracles import colon_witness, contains_ideal, ideal_intersection, pure_powers
+from oracles import colon_witness, contains_ideal, ideal_intersection, pure_powers, zero_ideal
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))

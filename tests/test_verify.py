@@ -138,7 +138,9 @@ def test_verify_localization_negative_example():
     report = verify_localization(ideal_in(R2, (2, 0), (1, 1)), (1,), 4)
     assert not report.admissible
     assert report.counter_witness() == 1
-    assert report.holds()  # vacuous: the hypothesis on S fails
+    # every saturation moves its closure, as an inadmissible S requires
+    assert report.per_n == ((1, False), (2, False), (3, False), (4, False))
+    assert report.holds()
 
 
 def test_verify_localization_validation():
@@ -183,6 +185,16 @@ def test_closure_oracle_table_is_sized_by_the_samples_not_the_dilations():
         assert got == expected
         assert peak < 2**20, peak
     assert closure_oracle_discrepancies(I, [], (1, 10**5)) == []
+    # nor does a sample whose own cut is large: x^40000 has cut 20000, and
+    # one row per cut up to it would trace about 1.8 MB
+    tracemalloc.start()
+    try:
+        got = closure_oracle_discrepancies(I, [(40000, 0)], (1, 20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == []
+    assert peak < 2**20, peak
 
 
 def test_closure_oracle_matches_literal_definition():
@@ -234,6 +246,12 @@ def test_closure_oracle_reports_planted_flip(monkeypatch):
 
     monkeypatch.setattr(reesval.verify, "_capped_dilation_cuts", flipped)
     assert closure_oracle_discrepancies(I, monomials) == [((1, 2), 2)]
+
+
+def test_sample_box_of_the_empty_box():
+    # the empty product holds one point, (), which a cap of 0 leaves out
+    assert sample_box((), 3, "k") == [()]
+    assert sample_box((), 0, "k") == []
 
 
 def test_sample_box_keeps_its_lists(corpus_ideals):
