@@ -58,9 +58,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: the Newton polyhedra and the closures of
-    powers (used by timing-sensitive harness runs)."""
-    from . import newton
+    """Drop every memoized result: the Newton polyhedra, the closures of
+    powers and the raw-power search tables (used by timing-sensitive
+    harness runs)."""
+    from . import core, newton
 
     newton.compute_np.cache_clear()
     newton.integral_closure_power.cache_clear()
+    core._search_tables.cache_clear()

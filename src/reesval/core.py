@@ -16,6 +16,7 @@ can be shared across workers and cached freely.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from operator import attrgetter, le, neg
 from typing import Iterable, Sequence
 
@@ -320,14 +321,35 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     k * (least j-th exponent in gens[i:]) > rem_j for some coordinate j.
     Both bounds read the generators only; like the rest of the search they
     never consult any polyhedral data, so the result can serve as the
-    independent side of closure cross-checks.  t = 0 gives True.
+    independent side of closure cross-checks.  t = 0 gives True.  A node
+    that passes both prunes with k = 1 is a leaf: it scans gens[i:] for
+    one generator that divides x^rem.  A node with k >= 2 memoizes its
+    answer on (i, rem, k); a k = 1 node takes no memo entry.
 
-    The search and its set-up (generator order, suffix minima, memo) live
-    in `_power_search`, which callers asking many questions of one ideal
-    build once.
+    The search lives in `_power_search`.  Its tables (generator order,
+    degrees, suffix minima) are built once per ideal by `_search_tables`,
+    and its memo once per set-up, which callers asking many questions of
+    one ideal make once.
     """
     m = check_vector(J.ring.dimension, m)
     return _power_search(J)(m, check_count(t, "t", 0))
+
+
+@lru_cache(maxsize=1)
+def _search_tables(J: MonomialIdeal):
+    """The tables of `_power_search` for J, built once per ideal: the
+    generators by degree descending, their degrees, and the suffix minima
+    of degree and of each exponent over gens[i:].  Only the last ideal's
+    tables are kept, as for `newton.compute_np`: callers ask about one
+    ideal at a time."""
+    gens = sorted(J.min_gens, key=sum, reverse=True)
+    degs = [sum(g) for g in gens]
+    min_deg_from = degs[:]
+    min_exp_from = gens[:]
+    for i in range(len(gens) - 2, -1, -1):
+        min_deg_from[i] = min(degs[i], min_deg_from[i + 1])
+        min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
+    return tuple(gens), tuple(degs), tuple(min_deg_from), tuple(min_exp_from)
 
 
 def _power_search(J: MonomialIdeal):
@@ -336,26 +358,20 @@ def _power_search(J: MonomialIdeal):
     Returns member(m, t), true iff x^m is in J^t, for any J, an already
     validated m and an int t >= 0: t = 0 is True at once, the zero ideal
     (no generators) is False for every t >= 1, and the unit ideal's
-    zero generator takes all t copies.  Every question asked of one
-    set-up shares one memo: an entry (i, rem, k) records whether some
-    product of k generators from gens[i:] divides x^rem, a fact about J
-    alone, so no answer depends on the questions asked before it.
+    zero generator takes all t copies.  The tables come from
+    `_search_tables`, and every question asked of one set-up shares one
+    memo: an entry (i, rem, k) records whether some product of k
+    generators from gens[i:] divides x^rem, a fact about J alone, so no
+    answer depends on the questions asked before it.
 
     A node carries the remainder's degree down as an argument (taking c
     copies of g lowers it by c * deg(g)) instead of summing the remainder,
     and a zero multiplicity passes the remainder on unchanged.  Both bounds
-    and cmax are plain loops; the tree, its prunes and the memo key
-    (i, rem, k) are those described in `contains_in_power`.
+    and cmax are plain loops; the tree, its prunes, its k = 1 scan and the
+    memo key (i, rem, k) are those described in `contains_in_power`.
     """
-    gens = sorted(J.min_gens, key=sum, reverse=True)
+    gens, degs, min_deg_from, min_exp_from = _search_tables(J)
     n_gens = len(gens)
-    degs = [sum(g) for g in gens]
-    min_deg_from = degs[:]
-    min_exp_from = gens[:]
-    for i in range(n_gens - 2, -1, -1):
-        min_deg_from[i] = min(degs[i], min_deg_from[i + 1])
-        min_exp_from[i] = tuple(map(min, gens[i], min_exp_from[i + 1]))
-
     memo: dict[tuple[int, tuple[int, ...], int], bool] = {}
 
     def member(m: tuple[int, ...], t: int) -> bool:
@@ -367,6 +383,11 @@ def _power_search(J: MonomialIdeal):
             for e, r in zip(min_exp_from[i], rem):
                 if k * e > r:
                     return False
+            if k == 1:
+                for g in gens[i:]:
+                    if all(map(le, g, rem)):
+                        return True
+                return False
             key = (i, rem, k)
             cached = memo.get(key)
             if cached is not None:

@@ -312,11 +312,19 @@ def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
     Only the last one is kept: callers ask about one ideal at a time."""
     require_proper_nonzero(I)
     d = I.ring.dimension
-    rays = _dual_extreme_rays(I.min_gens, d)
-    # facet order: support size, then normal, then offset
-    raw = sorted((d - r[:d].count(0), r[:d], -r[d]) for r in rays if any(r[:d]))
+    # facet order: support size, then normal, then offset.  A ray is
+    # (normal, -offset), and primitive normals are unique, so sorting a
+    # support-size bucket on the rays themselves orders it by normal; the
+    # height ray (0, ..., 0, 1), the only one without a normal, is bucket 0
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(d + 1)]
+    for r in _dual_extreme_rays(I.min_gens, d):
+        buckets[d - r[:d].count(0)].append(r)
     trusted = FacetInequality._trusted
-    return NewtonPolyhedron(I.ring, tuple([trusted(a, b) for _, a, b in raw]))
+    facets = []
+    for bucket in buckets[1:]:
+        bucket.sort()
+        facets += [trusted(r[:d], -r[d]) for r in bucket]
+    return NewtonPolyhedron(I.ring, tuple(facets))
 
 
 def _exact(c) -> bool:
@@ -558,11 +566,11 @@ def samuel_order(J: MonomialIdeal, m: Iterable[int], t_max: int) -> int:
     """Largest t <= t_max with x^m in J^t; 0 when x^m is not even in J.
 
     Each membership is the raw-power search of `contains_in_power`, set up
-    once per call (`core._power_search`), so no power of J is
-    materialized.  Total on degenerate ideals: the unit ideal gives t_max,
-    the zero ideal gives 0.  Callers bound the search themselves
-    (membership is monotone decreasing in t, so the first failure stops
-    the scan).
+    once per call (`core._power_search`: one memo for every t asked, on
+    tables built once per ideal), so no power of J is materialized.
+    Total on degenerate ideals: the unit ideal gives t_max, the zero ideal
+    gives 0.  Callers bound the search themselves (membership is monotone
+    decreasing in t, so the first failure stops the scan).
     """
     m = check_vector(J.ring.dimension, m)
     check_count(t_max, "t_max", 1)

@@ -15,7 +15,7 @@ shares no machinery with the decomposition path.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from . import lanes
 from .core import (
@@ -156,16 +156,30 @@ def associated_primes_bruteforce(
 
 def minimal_primes(J: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Minimal primes over J: inclusion-minimal variable sets meeting the
-    support of every generator."""
+    support of every generator.
+
+    Supports and variable sets are bitmasks, and the candidate sets run
+    through every nonempty mask in increasing order.  A proper subset of a
+    mask is a smaller int, so it comes first, and a candidate that contains
+    no cover found before it is minimal once it meets every support.  A
+    candidate with a variable outside every support is never kept: its
+    part inside the supports meets them too, and so holds a cover found
+    earlier.
+    """
     require_proper_nonzero(J)
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in J.min_gens]
-    universe = sorted(frozenset().union(*supports))
-    covers: list[set[int]] = []
-    for size in range(1, len(universe) + 1):
-        for combo in combinations(universe, size):
-            s = set(combo)
-            if any(c <= s for c in covers):
-                continue
-            if all(s & supp for supp in supports):
+    d = J.ring.dimension
+    supports = {sum(1 << i for i, e in enumerate(g) if e) for g in J.min_gens}
+    covers: list[int] = []
+    for s in range(1, 1 << d):
+        for c in covers:
+            if c & s == c:
+                break
+        else:
+            for supp in supports:
+                if not s & supp:
+                    break
+            else:
                 covers.append(s)
-    return frozenset(MonomialPrime._trusted(tuple(sorted(s))) for s in covers)
+    return frozenset(
+        MonomialPrime._trusted(tuple(i for i in range(d) if s >> i & 1)) for s in covers
+    )

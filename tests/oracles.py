@@ -22,6 +22,10 @@ The corpus-line rules here are written out by hand, field by field; the
 library's loader leaves the names and vectors to `RingContext` and
 `normalize`.
 
+Minimal primes here test every variable set against every generator and
+every other covering set; the library's walk runs over bitmasks in
+increasing order and keeps a set that contains no earlier cover.
+
 The zero ideal, monomial membership, and the ideal sum, intersection and
 containment at the end are helpers that only the tests use; they build on
 the library's `MonomialIdeal`, `check_vector` and `normalize`.
@@ -39,6 +43,7 @@ from reesval import (
     MAX_DIMENSION,
     MAX_INPUT_EXPONENT,
     MonomialIdeal,
+    MonomialPrime,
     RingContext,
     contains_in_power,
     divides,
@@ -228,7 +233,9 @@ def power_search_nodes_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> int:
     description: generators by degree descending, each multiplicity from
     its largest feasible value down, a node (i, rem, k) pruned when k picks
     from gens[i:] overshoot the degree sum(rem) or some coordinate of rem,
-    and answers memoized on (i, rem, k)."""
+    a k = 1 node answered by scanning gens[i:] for a divisor of x^rem
+    (a leaf, never memoized), and the answers of the other nodes memoized
+    on (i, rem, k)."""
     gens = sorted(J.min_gens, key=lambda g: -sum(g))
     memo = {}
     nodes = 0
@@ -243,6 +250,8 @@ def power_search_nodes_ref(J: MonomialIdeal, m: tuple[int, ...], t: int) -> int:
             return False
         if any(k * min(g[j] for g in rest) > rem[j] for j in range(len(rem))):
             return False
+        if k == 1:
+            return any(all(e <= r for e, r in zip(g, rem)) for g in rest)
         if (i, rem, k) not in memo:
             g = gens[i]
             cmax = min([k] + [r // e for r, e in zip(rem, g) if e])
@@ -351,6 +360,22 @@ def dilation_cuts(rows, points, default: int) -> list[int]:
         floors = map(floordiv, dots, repeat(b))
         cuts = list(floors) if cuts is None else list(map(min, cuts, floors))
     return [default] * len(points) if cuts is None else cuts
+
+
+def minimal_primes_ref(J: MonomialIdeal) -> frozenset[MonomialPrime]:
+    """Minimal primes over J by brute force: every variable set that meets
+    the support of every generator, kept when no other such set is a proper
+    subset of it."""
+    d = J.ring.dimension
+    covers = [
+        set(vs)
+        for k in range(1, d + 1)
+        for vs in combinations(range(d), k)
+        if all(any(g[v] for v in vs) for g in J.min_gens)
+    ]
+    return frozenset(
+        MonomialPrime(tuple(sorted(s))) for s in covers if not any(c < s for c in covers)
+    )
 
 
 def upset_in_box(gens, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

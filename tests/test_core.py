@@ -31,8 +31,8 @@ from reesval import (
     unit_ideal,
     verify_localization,
 )
-from reesval import core
-from reesval.core import _power_search, monomial_key
+from reesval import clear_caches, core
+from reesval.core import _power_search, _search_tables, monomial_key
 from oracles import (
     contains_monomial,
     ideal_intersection,
@@ -474,6 +474,21 @@ def test_power_search_answers_each_question_afresh():
                 expected = monomial_in_power_ref(J, m, t)
                 assert member(m, t) == expected, (J.min_gens, m, t)
                 assert contains_in_power(J, m, t) == expected, (J.min_gens, m, t)
+
+
+def test_search_tables_are_built_once_per_ideal_and_cleared():
+    # a new set-up on the same ideal reuses the tables, not the memo;
+    # clear_caches() drops them with the other memoized results
+    clear_caches()
+    J = ideal2((2, 0), (1, 1), (0, 3))
+    for m, t in (((3, 3), 2), ((4, 1), 2), ((3, 3), 2)):
+        assert _power_search(J)(m, t) == monomial_in_power_ref(J, m, t)
+    info = _search_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert contains_in_power(ideal2((1, 0)), (1, 1), 1)
+    assert _search_tables.cache_info().currsize == 1
+    clear_caches()
+    assert _search_tables.cache_info().currsize == 0
 
 
 def count_search_nodes(member, m, t):

@@ -3,6 +3,7 @@ examples, a reconstruction property, and the colon-scan oracle."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -20,7 +21,14 @@ from reesval import (
     normalize,
     unit_ideal,
 )
-from oracles import colon_witness, contains_ideal, ideal_intersection, pure_powers, zero_ideal
+from oracles import (
+    colon_witness,
+    contains_ideal,
+    ideal_intersection,
+    minimal_primes_ref,
+    pure_powers,
+    zero_ideal,
+)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -220,6 +228,26 @@ def test_minimal_primes_triangle():
     assert minimal_primes(T) == primes_of(
         [("x", "y"), ("y", "z"), ("x", "z")], R3
     )
+
+
+def test_minimal_primes_match_brute_force():
+    # zero-heavy generators give supports of every size, so the minimal
+    # primes range from single variables to the whole ring
+    rng = random.Random(1717)
+    names = ("x", "y", "z", "w", "u", "v")
+    for d in range(1, 7):
+        ring = RingContext(names[:d])
+        made = 0
+        while made < 40:
+            gens = [
+                tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(d))
+                for _ in range(rng.randint(1, 7))
+            ]
+            J = normalize([g for g in gens if any(g)], ring)
+            if not J.is_proper_nonzero():
+                continue
+            made += 1
+            assert minimal_primes(J) == minimal_primes_ref(J), J.min_gens
 
 
 def test_minimal_subset_of_associated_over_corpus(corpus_ideals):

@@ -74,7 +74,7 @@ def padded(gens, d):
     return [tuple(g) + (0,) * (d - len(g)) for g in gens]
 
 
-def test_facets_match_hull_oracle_wide_and_degenerate():
+def wide_and_degenerate_ideals():
     # the hull oracle costs about C(gens + d, d) eliminations, so these stay
     # small; together they run in a few seconds
     rng = random.Random(505)
@@ -108,9 +108,22 @@ def test_facets_match_hull_oracle_wide_and_degenerate():
         [(0, 2, 0, 1), (0, 1, 1, 1), (0, 0, 2, 1), (2, 0, 0, 2), (1, 2, 1, 0)],
     ):
         ideals.append(normalize(gens, RingContext(NAMES[:4])))
-    for ideal in ideals:
+    return ideals
+
+
+def test_facets_match_hull_oracle_wide_and_degenerate():
+    for ideal in wide_and_degenerate_ideals():
         got = {(f.normal, f.offset) for f in compute_np(ideal).facets}
         assert got == facets_bruteforce(list(ideal.min_gens)), ideal.min_gens
+
+
+def test_facet_order_is_support_size_then_normal_then_offset():
+    # compute_np sorts each support-size bucket on the rays alone; the
+    # order must be that of the full key all the same
+    key = lambda f: (len(f.support()), f.normal, f.offset)
+    for ideal in [*random_ideals(50, seed=101), *wide_and_degenerate_ideals()]:
+        facets = compute_np(ideal).facets
+        assert list(facets) == sorted(facets, key=key), ideal.min_gens
 
 
 def test_facets_of_full_degree_slices():
