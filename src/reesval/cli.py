@@ -12,7 +12,6 @@ request (`corpus --timings`).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -345,18 +344,26 @@ def run_corpus(
     timings: bool = False,
     out=None,
 ) -> int:
-    """Verify every corpus entry; JSONL report per entry plus a summary line."""
+    """Verify every corpus entry; JSONL report per entry plus a summary line.
+
+    An unreadable file, a malformed line, a duplicate id or a bad count
+    raises InvalidInput.  The entries run one after another in this
+    process.  `jobs` accepts only 1: it stays only because the benchmark
+    harness passes `jobs=1`, and new callers leave it out.  Each entry goes
+    through the module attribute `corpus_entry_report`, with keyword
+    arguments, because the harness rebinds that name to a timing wrapper
+    that takes the entry and `**kwargs`."""
     out = out or sys.stdout
     # checked before any entry is read, so an empty corpus cannot pass
     # with a cap that no chain could run under
     check_count(n_cap, "n_cap", 1)
-    check_count(jobs, "jobs", 1)
+    if type(jobs) is not int or jobs != 1:
+        raise InvalidInput(f"jobs must be 1, got {jobs!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read corpus: {exc}", file=sys.stderr)
-        return 2
+        raise InvalidInput(f"cannot read corpus: {exc}") from exc
     entries = []
     seen_ids = set()
     for line_no, line in enumerate(raw_lines, start=1):
@@ -368,18 +375,10 @@ def run_corpus(
         seen_ids.add(entry["id"])
         entries.append(entry)
 
-    worker = functools.partial(
-        corpus_entry_report, seed=seed, n_cap=n_cap, timings=timings
-    )
-    if jobs > 1 and len(entries) > 1:
-        # imported here, as only --jobs > 1 needs it (it loads logging);
-        # a fork pool starts every worker at the first submit
-        from concurrent import futures
-
-        with futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-            reports = list(pool.map(worker, entries))
-    else:
-        reports = [worker(entry) for entry in entries]
+    reports = [
+        corpus_entry_report(entry, seed=seed, n_cap=n_cap, timings=timings)
+        for entry in entries
+    ]
 
     failed_ids, not_stabilized_ids = [], []
     max_index = None
@@ -412,7 +411,6 @@ def _cmd_corpus(args) -> int:
         args.path,
         seed=args.seed,
         n_cap=args.cap,
-        jobs=args.jobs,
         timings=args.timings,
     )
 
@@ -465,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled oracle check")
     p.add_argument("--cap", type=int, default=DEFAULT_CHAIN_CAP,
                    help="chain cap (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--timings", action="store_true",
                    help="include per-entry wall-clock timings (not byte-stable)")
     p.set_defaults(func=_cmd_corpus)

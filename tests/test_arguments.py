@@ -9,6 +9,9 @@ InvalidInput naming the argument, never a TypeError, a silent coercion or
 a vacuous pass.
 """
 
+import io
+import os
+
 import pytest
 
 from reesval import (
@@ -42,8 +45,9 @@ from reesval.sampling import sample_box
 R2 = RingContext(("x", "y"))
 I = normalize([(2, 0), (1, 1)], R2)
 
-# the counts are checked before the corpus file is opened, so none is needed
-MISSING_CORPUS = "no-such-corpus.jsonl"
+def corpus(**counts):
+    # an empty corpus: a count run_corpus accepts runs it to the summary line
+    return run_corpus(os.devnull, out=io.StringIO(), **counts)
 
 
 def oracle(k_max=12, n=1):
@@ -62,8 +66,8 @@ ARGUMENTS = {
     "saturate": ("variable index", 0, lambda v: saturate(I, [v])),
     "closure_oracle.k_max": ("k_max", 1, lambda v: oracle(k_max=v)),
     "closure_oracle.n_values": ("n_values", 1, lambda v: oracle(n=v)),
-    "run_corpus.n_cap": ("n_cap", 1, lambda v: run_corpus(MISSING_CORPUS, n_cap=v)),
-    "run_corpus.jobs": ("jobs", 1, lambda v: run_corpus(MISSING_CORPUS, jobs=v)),
+    "run_corpus.n_cap": ("n_cap", 1, lambda v: corpus(n_cap=v)),
+    "run_corpus.jobs": ("jobs", 1, lambda v: corpus(jobs=v)),
     "associated_primes_bruteforce": ("box_bound", 1, lambda v: associated_primes_bruteforce(I, v)),
     "sample_box": ("cap", 0, lambda v: sample_box((3, 3), v, "k")),
     "sample_box.bound": ("bound", 0, lambda v: sample_box((3, v), 5, "k")),
@@ -79,6 +83,14 @@ def test_count_arguments_are_plain_ints_at_least_least(entry):
         with pytest.raises(InvalidInput, match=rf"^{name}\b"):
             call(bad)
     call(least)  # the bound is the intended one
+
+
+def test_run_corpus_checks_its_counts_before_opening_the_file():
+    # jobs accepts only 1, the value the benchmark harness passes; a missing
+    # file shows that each count is checked before the file is opened
+    for counts, name in (({"jobs": 2}, "jobs"), ({"n_cap": 0}, "n_cap")):
+        with pytest.raises(InvalidInput, match=rf"^{name}\b"):
+            run_corpus("no-such-corpus.jsonl", **counts)
 
 
 # entry point -> (name in the message, call taking a collection, a collection

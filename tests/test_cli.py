@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent import futures
 from contextlib import redirect_stdout
 
 import pytest
@@ -440,7 +439,7 @@ def test_corpus_empty_file_cap_zero_exit_two(tmp_path, capsys):
     assert "n_cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
 def test_corpus_jobs_below_one_exit_two(tmp_path, capsys, jobs):
     path = write_corpus(tmp_path, [
         json.dumps({"id": "e1", "ring": ["x"], "gens": [[1]]}),
@@ -467,6 +466,11 @@ def test_corpus_not_utf8_exit_two(tmp_path, capsys):
     code, _ = run_cli("corpus", str(path))
     assert code == 2
     assert "cannot read corpus" in capsys.readouterr().err
+
+
+def test_run_corpus_missing_file_raises(tmp_path):
+    with pytest.raises(InvalidInput, match=r"^cannot read corpus\b"):
+        run_corpus(str(tmp_path / "missing.jsonl"), out=io.StringIO())
 
 
 json_values = st.recursive(
@@ -592,42 +596,29 @@ def test_run_corpus_function_buffer(tmp_path):
     assert json.loads(buf.getvalue().splitlines()[0])["id"] == "e1"
 
 
-def test_corpus_pool_never_outnumbers_entries(tmp_path, monkeypatch):
-    # a fork pool starts all max_workers processes at the first submit, so
-    # --jobs beyond the entry count would only fork idle workers; the fake
-    # pool records the size and runs the entries in this process
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
-    path = write_corpus(tmp_path, [
-        json.dumps({"id": f"e{i}", "ring": ["x", "y"], "gens": [[i, 0], [0, 3]]})
-        for i in (1, 2, 3)
-    ])
-    for jobs, size in ((5000, 3), (3, 3), (2, 2)):
-        assert run_corpus(path, jobs=jobs, out=io.StringIO()) == 0
-        assert sizes.pop() == size
-    assert run_corpus(str(CORPUS_PATH), jobs=5000, out=io.StringIO()) == 0
-    assert sizes == [41]
+def test_corpus_under_optimize_and_dev_mode():
+    # -O strips assert statements, so an invariant kept in an assert would
+    # change or break the run.  -X dev shows resource warnings and -W error
+    # raises them; one raised while an object is collected (an unclosed
+    # file) is only printed as "Exception ignored", so stderr must be empty
+    done = subprocess.run(
+        [sys.executable, "-O", "-X", "dev", "-W", "error",
+         "-m", "reesval", "corpus", str(CORPUS_PATH)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    expected = io.StringIO()
+    run_corpus(str(CORPUS_PATH), out=expected)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout == expected.getvalue()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only --jobs > 1 uses the pool, so importing the CLI (as every command
-    # and the benchmark's set-up do) must not load concurrent.futures (and
-    # with it logging) or multiprocessing; the value objects are Records,
-    # so dataclasses (and with it inspect) stays unloaded too
+    # the corpus runs in one process, so importing the CLI (as every command
+    # and the benchmark's set-up do) loads no pool: not concurrent.futures
+    # (and with it logging), not multiprocessing; the value objects are
+    # Records, so dataclasses (and with it inspect) stays unloaded too
     code = (
         "import sys; import reesval.cli; print(*(name in sys.modules for name in "
         "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing', "
