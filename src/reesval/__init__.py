@@ -58,11 +58,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: the Newton polyhedra, the closures of
-    powers and the raw-power search tables (used by timing-sensitive
-    harness runs)."""
-    from . import core, newton
+    """Drop the one process-wide memo, the closures of powers (used by
+    timing-sensitive harness runs).  Newton polyhedra and raw-power search
+    tables live on their ideal objects (`core.per_ideal`) and go with
+    them, so an ideal built after this call starts cold."""
+    from . import newton
 
-    newton.compute_np.cache_clear()
     newton.integral_closure_power.cache_clear()
-    core._search_tables.cache_clear()

@@ -10,13 +10,15 @@ The coefficient field never appears anywhere: for monomial ideals, nothing
 computed in this package depends on it.
 
 All values are immutable and all operations are pure functions, so results
-can be shared across workers and cached freely.
+can be shared across threads.  What is derived from one ideal alone (its
+Newton polyhedron, the raw-power search tables) is built once per ideal
+object and kept on it (`per_ideal`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import wraps
 from operator import attrgetter, le, neg
 from typing import Iterable, Sequence
 
@@ -147,10 +149,12 @@ class MonomialIdeal(Record):
     generating set through `normalize`, so MonomialIdeal(R, gens) ==
     normalize(gens, R).  `normalize` and `integral_closure_power` build
     their ideals with `_trusted(ring, gens)`, from a canonical antichain of
-    checked exponent vectors.
+    checked exponent vectors.  The `_memo` slot is not a field: it holds
+    what `per_ideal` functions built for this object.
     """
 
-    __slots__ = __match_args__ = ("ring", "min_gens")
+    __match_args__ = ("ring", "min_gens")
+    __slots__ = __match_args__ + ("_memo",)
     ring: RingContext
     min_gens: tuple[tuple[int, ...], ...]
 
@@ -169,6 +173,31 @@ class MonomialIdeal(Record):
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max over the generators (the generator bounding box)."""
         return tuple(map(max, zip(*self.min_gens))) or (0,) * self.ring.dimension
+
+
+def per_ideal(build):
+    """Decorator: `build(J)` is computed once per ideal object and kept on it.
+
+    The value goes into the dict in J's `_memo` slot, keyed by `build`
+    itself and not by the name it is bound to: a replacement bound to that
+    name which calls the decorated function shares its entries, and keeps
+    its own values out of them.  It goes when J goes; an equal but
+    distinct ideal builds its own, and nothing is hashed or evicted.  A
+    `build` that raises stores nothing.  Threads racing on one ideal at
+    worst build an equal value twice.
+    """
+
+    def memoized(J: MonomialIdeal):
+        try:
+            return J._memo[build]
+        except KeyError:
+            pass
+        except AttributeError:
+            object.__setattr__(J, "_memo", {})
+        value = J._memo[build] = build(J)
+        return value
+
+    return wraps(build)(memoized)
 
 
 def require_proper_nonzero(J: MonomialIdeal) -> None:
@@ -327,21 +356,19 @@ def contains_in_power(J: MonomialIdeal, m: Iterable[int], t: int) -> bool:
     answer on (i, rem, k); a k = 1 node takes no memo entry.
 
     The search lives in `_power_search`.  Its tables (generator order,
-    degrees, suffix minima) are built once per ideal by `_search_tables`,
-    and its memo once per set-up, which callers asking many questions of
-    one ideal make once.
+    degrees, suffix minima) are built once per ideal object by
+    `_search_tables`, and its memo once per set-up, which callers asking
+    many questions of one ideal make once.
     """
     m = check_vector(J.ring.dimension, m)
     return _power_search(J)(m, check_count(t, "t", 0))
 
 
-@lru_cache(maxsize=1)
+@per_ideal
 def _search_tables(J: MonomialIdeal):
-    """The tables of `_power_search` for J, built once per ideal: the
-    generators by degree descending, their degrees, and the suffix minima
-    of degree and of each exponent over gens[i:].  Only the last ideal's
-    tables are kept, as for `newton.compute_np`: callers ask about one
-    ideal at a time."""
+    """The tables of `_power_search` for J, built once per ideal object:
+    the generators by degree descending, their degrees, and the suffix
+    minima of degree and of each exponent over gens[i:]."""
     gens = sorted(J.min_gens, key=sum, reverse=True)
     degs = [sum(g) for g in gens]
     min_deg_from = degs[:]

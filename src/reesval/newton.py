@@ -33,6 +33,7 @@ from .core import (
     ideal_power,
     ideal_product,
     monomial_key,
+    per_ideal,
     require_proper_nonzero,
 )
 from .errors import InvalidInput
@@ -306,10 +307,10 @@ def _dual_extreme_rays(points: Sequence[tuple[int, ...]], d: int) -> list[tuple[
     return [rays[i] for i in _bit_indexes(live)]
 
 
-@lru_cache(maxsize=1)
+@per_ideal
 def compute_np(I: MonomialIdeal) -> NewtonPolyhedron:
-    """Irredundant facet description of conv(exponents of I) + orthant.
-    Only the last one is kept: callers ask about one ideal at a time."""
+    """Irredundant facet description of conv(exponents of I) + orthant,
+    built once per ideal object (`core.per_ideal`)."""
     require_proper_nonzero(I)
     d = I.ring.dimension
     # facet order: support size, then normal, then offset.  A ray is

@@ -477,18 +477,37 @@ def test_power_search_answers_each_question_afresh():
 
 
 def test_search_tables_are_built_once_per_ideal_and_cleared():
-    # a new set-up on the same ideal reuses the tables, not the memo;
-    # clear_caches() drops them with the other memoized results
-    clear_caches()
+    # a new set-up on the same ideal object reuses the tables, not the memo;
+    # an equal but distinct ideal builds its own, since the tables live on
+    # the ideal (core.per_ideal) and not in a process-wide memo.  So there
+    # is none for clear_caches() to leave behind: it leaves J's tables on J
+    build = _search_tables.__wrapped__
+    builds = 0
+
+    def profile(frame, event, arg):
+        nonlocal builds
+        if event == "call" and frame.f_code is build.__code__:
+            builds += 1
+
+    def ask(J, m, t):
+        sys.setprofile(profile)
+        try:
+            return _power_search(J)(m, t)
+        finally:
+            sys.setprofile(None)
+
     J = ideal2((2, 0), (1, 1), (0, 3))
     for m, t in (((3, 3), 2), ((4, 1), 2), ((3, 3), 2)):
-        assert _power_search(J)(m, t) == monomial_in_power_ref(J, m, t)
-    info = _search_tables.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
-    assert contains_in_power(ideal2((1, 0)), (1, 1), 1)
-    assert _search_tables.cache_info().currsize == 1
+        assert ask(J, m, t) == monomial_in_power_ref(J, m, t)
+    assert builds == 1
+    twin = ideal2(*J.min_gens)
+    assert twin == J and twin is not J
+    assert ask(twin, (3, 3), 2) and builds == 2
+    assert _search_tables(twin) is _search_tables(twin) is not _search_tables(J)
+    assert not hasattr(_search_tables, "cache_info")
+    assert [cell.cell_contents for cell in _search_tables.__closure__] == [build]
     clear_caches()
-    assert _search_tables.cache_info().currsize == 0
+    assert ask(J, (4, 1), 2) == monomial_in_power_ref(J, (4, 1), 2) and builds == 2
 
 
 def count_search_nodes(member, m, t):

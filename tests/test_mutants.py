@@ -9,7 +9,10 @@ never fires fails instead of passing on the honest corpus.  Rows are
 runtime patches through `monkeypatch.setattr`, which fails if a target was
 renamed.  Rows are isolated by `monkeypatch.context`, which restores the
 honest functions when the row ends, and by `clear_caches()` before and
-after each row, so no mutated polyhedron or closure outlives it.
+after each row, so no closure built from a mutated polyhedron outlives it.
+Polyhedra need no clearing: they live on the ideals of the row's own
+corpus run (`core.per_ideal`), and a mutated one is kept under the
+mutant's key, never under the honest function's.
 
 The source rules are functions of a source directory returning the
 `file:line` of each violation, so each one is shown to fail on a copy with
@@ -22,13 +25,13 @@ import json
 import shutil
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import pytest
 
 from reesval import NewtonPolyhedron, clear_caches, cli, newton, primes, valuations, verify
 from reesval.cli import run_corpus
+from reesval.core import per_ideal
 from conftest import CORPUS_PATH, REPO_ROOT
 
 SRC = REPO_ROOT / "src"
@@ -79,9 +82,9 @@ def dropped_facet(position):
     `position` among them."""
 
     def mutate(honest, fired):
-        # cached like the honest function, so each mutated polyhedron is
-        # built once and a clear_caches() with the row in place still works
-        @lru_cache(maxsize=1)
+        # kept on the ideal like the honest polyhedron, under this function
+        # as its key, so each mutated polyhedron is built once
+        @per_ideal
         def dropping(I):
             np_ = honest(I)
             positive = [i for i, f in enumerate(np_.facets) if f.offset > 0]
@@ -298,7 +301,35 @@ def core_package_imports(root):
     return hits
 
 
-RULES = [assert_statements, lane_packing_outside_lanes, core_package_imports]
+MEMO_NAMES = {"lru_cache", "cache"}
+
+
+def process_wide_memos(root):
+    """Per-ideal results live on the ideal (`core.per_ideal`), so the one
+    functools memo under src is `newton.integral_closure_power`'s: no other
+    name or attribute called lru_cache or cache is used."""
+    hits = []
+    for path, name in sources(root):
+        tree = ast.parse(path.read_text(), str(path))
+        kept = {
+            id(node)
+            for f in ast.walk(tree)
+            if name.as_posix() == "reesval/newton.py"
+            and isinstance(f, ast.FunctionDef) and f.name == "integral_closure_power"
+            for decorator in f.decorator_list
+            for node in ast.walk(decorator)
+        }
+        hits += sorted(
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in kept
+            and (isinstance(node, ast.Name) and node.id in MEMO_NAMES
+                 or isinstance(node, ast.Attribute) and node.attr in MEMO_NAMES)
+        )
+    return hits
+
+
+RULES = [assert_statements, lane_packing_outside_lanes, core_package_imports, process_wide_memos]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -311,7 +342,9 @@ def test_source_rule_holds_under_src(rule):
     (lane_packing_outside_lanes, "reesval/newton.py", 'packed = int.from_bytes(b"", "little")'),
     (core_package_imports, "reesval/core.py", "from .newton import compute_np"),
     (core_package_imports, "reesval/core.py", "import reesval"),
-], ids=["assert", "from-bytes-in-newton", "core-imports-newton", "core-imports-package"])
+    (process_wide_memos, "reesval/valuations.py", "@lru_cache\ndef _planted(I):\n    return I"),
+], ids=["assert", "from-bytes-in-newton", "core-imports-newton", "core-imports-package",
+        "lru-cache-in-valuations"])
 def test_source_rule_reports_a_planted_violation(rule, file, planted, tmp_path):
     root = tmp_path / "src"
     shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))

@@ -4,8 +4,12 @@ The facet set is checked against an independent subset-solving hull oracle
 and an incidence/rank audit; closures are recomputed through raw powers.
 """
 
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -98,6 +102,74 @@ def test_np_rejects_unit_zero_ideal():
         compute_np(unit_ideal(R2))
     with pytest.raises(InvalidInput):
         compute_np(zero_ideal(R2))
+
+
+def test_polyhedra_are_built_once_per_ideal_object(monkeypatch):
+    # compute_np keeps each polyhedron on its ideal (core.per_ideal), so
+    # asking about I, J, I, J, I runs two double descriptions, not one per
+    # switch; an equal but distinct ideal builds its own; a rejected ideal
+    # stores nothing and is rejected again; and the memo is not a field, so
+    # a filled one changes no equality, hash, repr, pickle or copy
+    R3 = RingContext(("x", "y", "z"))
+    honest, builds = reesval.newton._dual_extreme_rays, []
+
+    def counting(points, d):
+        builds.append(points)
+        return honest(points, d)
+
+    monkeypatch.setattr(reesval.newton, "_dual_extreme_rays", counting)
+    I = normalize([(2, 0, 0), (0, 3, 0), (1, 1, 1)], R3)
+    J = normalize([(1, 0, 0), (0, 2, 2)], R3)
+    values = [vbar(K, (1, 1, 1)) for K in (I, J, I, J, I)]
+    assert builds == [I.min_gens, J.min_gens]
+    assert values == [Fraction(1), Fraction(3, 2)] * 2 + [Fraction(1)]
+    twin = normalize(I.min_gens, R3)
+    assert twin == I and twin is not I
+    assert compute_np(twin) == compute_np(I) and compute_np(twin) is not compute_np(I)
+    assert len(builds) == 3
+    unit = unit_ideal(R3)
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            compute_np(unit)
+    assert getattr(unit, "_memo", {}) == {} and len(builds) == 3
+    blank = normalize(I.min_gens, R3)
+    assert (I, hash(I), repr(I)) == (blank, hash(blank), repr(blank))
+    assert pickle.dumps(I) == pickle.dumps(blank)
+    for clone in (pickle.loads(pickle.dumps(I)), copy.copy(I), copy.deepcopy(I)):
+        assert clone == I and not hasattr(clone, "_memo")
+
+
+def test_threads_sharing_ideals_read_equal_polyhedra():
+    # threads racing on one ideal's memo may each build a polyhedron, but
+    # every answer equals the serial one and a memo keeps only such values
+    rng = random.Random(3600)
+    specs = [(random_ideal(rng, 3).min_gens, (rng.randint(0, 6), rng.randint(0, 6), 1))
+             for _ in range(24)]
+    R = RingContext(("x", "y", "z"))
+    serial = [(normalize(g, R), m) for g, m in specs]
+    expected = [(compute_np(K), vbar(K, m)) for K, m in serial]
+    shared = [normalize(g, R) for g, _ in specs]
+    answers = {k: [] for k in range(4)}
+
+    def work(k):
+        for I, (_, m) in zip(shared[k:] + shared[:k], specs[k:] + specs[:k]):
+            answers[k].append((compute_np(I), vbar(I, m)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in answers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, got in answers.items():
+        assert got == expected[k:] + expected[:k]
+    for I, (np_, _) in zip(shared, expected):
+        assert all(value == np_ for value in I._memo.values())
 
 
 # --- facet soundness and the independent hull oracle ---------------------------
