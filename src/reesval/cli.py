@@ -7,6 +7,10 @@ the signal stopped; it replaces every other code, a failed verdict's
 too).  All JSON output is key-sorted and list-sorted, so identical
 invocations are byte-identical; wall-clock timings are emitted only on
 request (`corpus --timings`).
+
+Each ideal subcommand is a function of the parsed ideal and the parsed
+arguments returning (exit code, JSON payload, text lines); `main` parses
+`--ring` and `--ideal` and prints one of the two renderings.
 """
 
 from __future__ import annotations
@@ -72,74 +76,47 @@ def _linear_form(normal, ring: RingContext) -> str:
     return " + ".join(parts)
 
 
-def _require_ideal(args) -> MonomialIdeal:
-    return parse_ideal(args.ideal, parse_ring(args.ring))
-
-
-def _cmd_np(args) -> int:
-    I = _require_ideal(args)
+def _cmd_np(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     np_ = compute_np(I)
-    if args.json:
-        print(_dump({
-            "facets": [[list(f.normal), f.offset] for f in np_.facets],
-            "gens": [list(g) for g in I.min_gens],
-            "ring": list(I.ring.variable_names),
-        }))
-    else:
-        for f in np_.facets:
-            print(f"{_linear_form(f.normal, I.ring)} >= {f.offset}")
-    return 0
+    return 0, {
+        "facets": [[list(f.normal), f.offset] for f in np_.facets],
+        "gens": [list(g) for g in I.min_gens],
+        "ring": list(I.ring.variable_names),
+    }, [f"{_linear_form(f.normal, I.ring)} >= {f.offset}" for f in np_.facets]
 
 
-def _cmd_closure(args) -> int:
-    I = _require_ideal(args)
+def _cmd_closure(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     closure = integral_closure_power(I, args.power)
-    if args.json:
-        print(_dump({
-            "closure": [list(g) for g in closure.min_gens],
-            "gens": [list(g) for g in I.min_gens],
-            "power": args.power,
-            "ring": list(I.ring.variable_names),
-        }))
-    else:
-        print(render_ideal(closure))
-    return 0
+    return 0, {
+        "closure": [list(g) for g in closure.min_gens],
+        "gens": [list(g) for g in I.min_gens],
+        "power": args.power,
+        "ring": list(I.ring.variable_names),
+    }, [render_ideal(closure)]
 
 
-def _cmd_rees(args) -> int:
-    I = _require_ideal(args)
+def _cmd_rees(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     valuations = rees_valuations(I)
     centers = b_star(I).centers
-    if args.json:
-        print(_dump({
-            "centers": _primes_json(centers, I.ring),
-            "ring": list(I.ring.variable_names),
-            "valuations": [[list(v.normal), v.offset] for v in valuations],
-        }))
-    else:
-        for v in valuations:
-            names = ",".join(center(v).names(I.ring))
-            print(
-                f"normal=({','.join(str(a) for a in v.normal)}) "
-                f"value={v.offset} center=({names})"
-            )
-        print(f"b_star: {_primes_text(centers, I.ring)}")
-    return 0
+    return 0, {
+        "centers": _primes_json(centers, I.ring),
+        "ring": list(I.ring.variable_names),
+        "valuations": [[list(v.normal), v.offset] for v in valuations],
+    }, [
+        f"normal=({','.join(map(str, v.normal))}) value={v.offset} "
+        f"center=({','.join(center(v).names(I.ring))})"
+        for v in valuations
+    ] + [f"b_star: {_primes_text(centers, I.ring)}"]
 
 
-def _cmd_vbar(args) -> int:
-    I = _require_ideal(args)
+def _cmd_vbar(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     m = parse_monomial(args.monomial, I.ring)
     v = vbar(I, m)
-    if args.json:
-        print(_dump({
-            "monomial": list(m),
-            "ring": list(I.ring.variable_names),
-            "vbar": str(v),
-        }))
-    else:
-        print(v)
-    return 0
+    return 0, {
+        "monomial": list(m),
+        "ring": list(I.ring.variable_names),
+        "vbar": str(v),
+    }, [str(v)]
 
 
 def _astar_verdicts(report) -> dict:
@@ -169,18 +146,14 @@ def _astar_json(report, ring: RingContext, verdicts: dict) -> dict:
     }
 
 
-def _cmd_astar(args) -> int:
-    I = _require_ideal(args)
+def _cmd_astar(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     report = a_star(I, args.cap)
-    if args.json:
-        print(_dump(_astar_json(report, I.ring, _astar_verdicts(report))))
-    else:
-        for n, ass in report.chain:
-            print(f"n={n}: {_primes_text(ass, I.ring)}")
-        print(f"stable_set: {_primes_text(report.stable_set, I.ring)}")
-        print(f"stabilization_index: {report.stabilization_index}")
-        print(f"b_star: {_primes_text(report.b_star.centers, I.ring)}")
-    return 0
+    return 0, _astar_json(report, I.ring, _astar_verdicts(report)), [
+        *(f"n={n}: {_primes_text(ass, I.ring)}" for n, ass in report.chain),
+        f"stable_set: {_primes_text(report.stable_set, I.ring)}",
+        f"stabilization_index: {report.stabilization_index}",
+        f"b_star: {_primes_text(report.b_star.centers, I.ring)}",
+    ]
 
 
 def _s_var_indexes(names, ring: RingContext, label: str) -> tuple[int, ...]:
@@ -204,13 +177,12 @@ def _localization_json(report, ring: RingContext) -> dict:
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(I: MonomialIdeal, args) -> tuple[int, dict, list[str]]:
     if args.check == "thm31" and args.s_vars is None:
         raise InvalidInput("verify thm31 needs --s-vars")
     if args.check == "cor26" and args.s_vars is not None:
         raise InvalidInput("verify cor26 takes no --s-vars")
-    I = _require_ideal(args)
-    # read before any check runs, so a bad --s-vars prints no verdict
+    # read before any check runs, so a bad --s-vars runs no check
     s_vars = None
     if args.s_vars is not None:
         if not args.s_vars.strip():
@@ -220,41 +192,39 @@ def _cmd_verify(args) -> int:
     loc_cap = args.cap if args.cap is not None else DEFAULT_LOCALIZATION_CAP
     failed = False
     payload: dict = {}
+    lines = []
 
     if args.check in ("cor26", "all"):
         report = a_star(I, chain_cap)
         verdicts = _chain_verdicts(report)
         payload["cor26"] = _astar_json(report, I.ring, verdicts)
-        failed = failed or not all(verdicts.values())
-        if not args.json:
-            print(f"cor26: {'PASS' if verdicts['cor26'] else 'FAIL'} "
-                  f"(stable set {_primes_text(report.stable_set, I.ring)}; "
-                  f"index {report.stabilization_index})")
-            print(f"monotone: {'PASS' if verdicts['monotone'] else 'FAIL'}")
-            print(f"lemma21i: {'PASS' if verdicts['lemma21i'] else 'FAIL'}")
+        failed = not all(verdicts.values())
+        lines += [
+            f"cor26: {'PASS' if verdicts['cor26'] else 'FAIL'} "
+            f"(stable set {_primes_text(report.stable_set, I.ring)}; "
+            f"index {report.stabilization_index})",
+            f"monotone: {'PASS' if verdicts['monotone'] else 'FAIL'}",
+            f"lemma21i: {'PASS' if verdicts['lemma21i'] else 'FAIL'}",
+        ]
 
     if s_vars is not None:  # thm31, or all with --s-vars
         report = verify_localization(I, s_vars, loc_cap)
         payload["thm31"] = _localization_json(report, I.ring)
         failed = failed or not report.holds()
-        if not args.json:
+        if report.admissible:
             status = "PASS" if report.holds() else "FAIL"
-            if report.admissible:
-                print(f"thm31: {status} (S admissible, n=1..{loc_cap})")
-            elif report.holds():
-                witness = report.counter_witness()
-                print(f"thm31: S meets a center (inadmissible); counter-witness n={witness}")
-            else:  # an inadmissible S must move every closure
-                fixed = next(n for n, ok in report.per_n if ok)
-                print(f"thm31: FAIL (S meets a center, yet saturating at S fixes n={fixed})")
+            lines.append(f"thm31: {status} (S admissible, n=1..{loc_cap})")
+        elif report.holds():
+            witness = report.counter_witness()
+            lines.append(f"thm31: S meets a center (inadmissible); counter-witness n={witness}")
+        else:  # an inadmissible S must move every closure
+            fixed = next(n for n, ok in report.per_n if ok)
+            lines.append(f"thm31: FAIL (S meets a center, yet saturating at S fixes n={fixed})")
     elif args.check == "all":  # thm31 needs S: report it as not checked
         payload["thm31"] = None
-        if not args.json:
-            print("thm31: SKIPPED (no --s-vars)")
+        lines.append("thm31: SKIPPED (no --s-vars)")
 
-    if args.json:
-        print(_dump(payload if args.check == "all" else payload[args.check]))
-    return 1 if failed else 0
+    return int(failed), payload if args.check == "all" else payload[args.check], lines
 
 
 def _load_corpus_entry(line_no: int, line: str) -> dict:
@@ -406,15 +376,6 @@ def run_corpus(
     return 1 if failed_ids else 0
 
 
-def _cmd_corpus(args) -> int:
-    return run_corpus(
-        args.path,
-        seed=args.seed,
-        n_cap=args.cap,
-        timings=args.timings,
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", required=True, help='ring text, e.g. "Q[x,y]"')
@@ -465,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="chain cap (default %(default)s)")
     p.add_argument("--timings", action="store_true",
                    help="include per-entry wall-clock timings (not byte-stable)")
-    p.set_defaults(func=_cmd_corpus)
     return parser
 
 
@@ -476,7 +436,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
+        if args.command == "corpus":
+            code = run_corpus(args.path, seed=args.seed, n_cap=args.cap, timings=args.timings)
+        else:
+            code, payload, lines = args.func(parse_ideal(args.ideal, parse_ring(args.ring)), args)
+            print(_dump(payload) if args.json else "\n".join(lines))
         sys.stdout.flush()
     except NotStabilized as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Every verdict can come out false: one table of corpus mutants, and the
-source rules that keep the verifier's two routes apart.
+source rules that keep the verifier's two routes apart and its caches and
+output choices each in one place.
 
 Each row of `MUTANTS` names the module attributes it replaces, builds its
 replacement from the honest function, and states the exit code and id
@@ -329,7 +330,31 @@ def process_wide_memos(root):
     return hits
 
 
-RULES = [assert_statements, lane_packing_outside_lanes, core_package_imports, process_wide_memos]
+def json_flag_outside_main(root):
+    """`--json` picks one of two renderings of a subcommand's payload, and
+    `cli.main` alone makes that pick: no other code reads `args.json`."""
+    hits = []
+    for path, name in sources(root):
+        tree = ast.parse(path.read_text(), str(path))
+        in_main = {
+            id(node)
+            for f in tree.body
+            if name.as_posix() == "reesval/cli.py"
+            and isinstance(f, ast.FunctionDef) and f.name == "main"
+            for node in ast.walk(f)
+        }
+        hits += sorted(
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in in_main
+            and isinstance(node, ast.Attribute) and node.attr == "json"
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        )
+    return hits
+
+
+RULES = [assert_statements, lane_packing_outside_lanes, core_package_imports, process_wide_memos,
+         json_flag_outside_main]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -343,8 +368,9 @@ def test_source_rule_holds_under_src(rule):
     (core_package_imports, "reesval/core.py", "from .newton import compute_np"),
     (core_package_imports, "reesval/core.py", "import reesval"),
     (process_wide_memos, "reesval/valuations.py", "@lru_cache\ndef _planted(I):\n    return I"),
+    (json_flag_outside_main, "reesval/cli.py", "_planted = lambda args: args.json"),
 ], ids=["assert", "from-bytes-in-newton", "core-imports-newton", "core-imports-package",
-        "lru-cache-in-valuations"])
+        "lru-cache-in-valuations", "args-json-outside-main"])
 def test_source_rule_reports_a_planted_violation(rule, file, planted, tmp_path):
     root = tmp_path / "src"
     shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))

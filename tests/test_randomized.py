@@ -7,7 +7,7 @@ found the shipped deep-chain corpus entry used the same checks.
 import random
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, le
 
 from reesval import (
     RingContext,
@@ -366,6 +366,38 @@ def test_closure_product_threshold_is_sharp():
         assert (d - 1,) * d in below.min_gens
         assert below != ideal_product(integral_closure_power(ideal, d - 2), ideal)
         assert integral_closure_power(ideal, d) == closure_by_walk(ideal, d)
+
+
+def test_closure_residue_lies_in_the_top_sums_box(corpus_ideals):
+    # README "The residue box": a minimal generator of closure(I^n) outside
+    # I * closure(I^(n-1)) lies in prod [0, T_j(n)], T_j(n) the sum of the n
+    # largest j-th generator exponents, and there is none once n >= #gens.
+    # The library walk gives every closure, so no product route is assumed.
+    def walk(ideal, n):
+        bounds = tuple(n * e for e in ideal.max_exponents())
+        return normalize(_minimal_lattice_members(compute_np(ideal).rows, bounds, n), ideal.ring)
+
+    ideals = [ideal for _, ideal in corpus_ideals if ideal.ring.dimension <= 4]
+    residues = outside_smaller_box = 0
+    for ideal in ideals + list(random_ideals(120, seed=909)):
+        d = ideal.ring.dimension
+        columns = [sorted((g[j] for g in ideal.min_gens), reverse=True) for j in range(d)]
+        previous = walk(ideal, 1)
+        for n in range(2, d + 1):
+            closure = walk(ideal, n)
+            product = set(ideal_product(ideal, previous).min_gens)
+            residue = [q for q in closure.min_gens if q not in product]
+            box = [sum(column[:n]) for column in columns]
+            assert all(all(map(le, q, box)) for q in residue), (ideal.min_gens, n, residue)
+            if n >= len(ideal.min_gens):
+                assert residue == [], (ideal.min_gens, n)
+            residues += len(residue)
+            outside_smaller_box += sum(
+                any(q[j] > sum(columns[j][:n - 1]) for j in range(d)) for q in residue
+            )
+            previous = closure
+    # the box is met: most residue generators leave the box of n - 1 sums
+    assert residues == 43 and outside_smaller_box == 28
 
 
 def test_ass_two_routes_randomized():
